@@ -3,6 +3,7 @@
 __version__ = "0.1.0"
 
 from .errors import (
+    ArgumentError,
     BadChoiceError,
     BudgetError,
     CycleError,
@@ -70,7 +71,7 @@ from .dot import export_dot
 from .report import ChainSummary, ReportDocument, build_report
 
 __all__ = [
-    "AcuteCharacterization", "AcuteClause", "AxiomReport", "BadChoiceError",
+    "AcuteCharacterization", "AcuteClause", "ArgumentError", "AxiomReport", "BadChoiceError",
     "BudgetError", "Chain", "ChainSummary", "ChoiceSpec", "Counterexample",
     "CycleError", "EnumerationFilter", "FIXTURE_NAMES", "IncompleteChoiceError",
     "InvalidOrderError", "LambdaLattice", "LamlatError", "NoTopError",

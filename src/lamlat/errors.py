@@ -5,6 +5,10 @@ class LamlatError(Exception):
     """Base class for all package-specific errors."""
 
 
+class ArgumentError(LamlatError, ValueError):
+    """A size or budget argument is below its allowed minimum."""
+
+
 class RangeError(LamlatError):
     """An element index or table entry is outside 0..n-1."""
 

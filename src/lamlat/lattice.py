@@ -152,12 +152,18 @@ class LambdaLattice:
     sets, and the order induced by the tables is the poset order.
     """
 
-    def __init__(self, poset: Poset, join, meet, *, _trusted: bool = False):
+    def __init__(self, poset: Poset, join, meet):
         self.poset = poset
         self.join_table = tuple(tuple(int(v) for v in row) for row in join)
         self.meet_table = tuple(tuple(int(v) for v in row) for row in meet)
-        if not _trusted:
-            self._validate()
+        self._validate()
+
+    @classmethod
+    def _from_tables(cls, poset: Poset, join: tuple, meet: tuple) -> "LambdaLattice":
+        # trusted path for builders that meet the contract; keeps the tuples as given
+        ll = cls.__new__(cls)
+        ll.poset, ll.join_table, ll.meet_table = poset, join, meet
+        return ll
 
     def _validate(self) -> None:
         p, n = self.poset, self.poset.n
@@ -168,30 +174,17 @@ class LambdaLattice:
             for v in row:
                 if not 0 <= v < n:
                     raise RangeError(f"table entry {v} out of range 0..{n - 1}")
+        up = p._up
+        base_j, base_m = _base_rows(p)
         for x in range(n):
             for y in range(x, n):
                 jv, mv = jt[x][y], mt[x][y]
                 if jt[y][x] != jv or mt[y][x] != mv:
                     raise ValueError(f"tables must be symmetric at ({x}, {y})")
-                if p.leq(x, y):
-                    exp = (y, x)
-                elif p.leq(y, x):
-                    exp = (x, y)
-                else:
-                    if not (p.leq(x, jv) and p.leq(y, jv)):
-                        raise BadChoiceError(
-                            f"join({p.label(x)}, {p.label(y)}) = {p.label(jv)}"
-                            " is not a common upper bound",
-                            pair=(x, y),
-                        )
-                    if not (p.leq(mv, x) and p.leq(mv, y)):
-                        raise BadChoiceError(
-                            f"meet({p.label(x)}, {p.label(y)}) = {p.label(mv)}"
-                            " is not a common lower bound",
-                            pair=(x, y),
-                        )
-                    continue
-                if (jv, mv) != exp:
+                if not (up[x] >> y & 1 or up[y] >> x & 1):
+                    _check_bound(p, "join", x, y, jv)
+                    _check_bound(p, "meet", x, y, mv)
+                elif (jv, mv) != (base_j[x][y], base_m[x][y]):
                     raise BadChoiceError(
                         f"comparable pair ({p.label(x)}, {p.label(y)}) must use max and min",
                         pair=(x, y),
@@ -256,7 +249,7 @@ class LambdaLattice:
             for y in range(n):
                 jt[perm[x]][perm[y]] = perm[self.join_table[x][y]]
                 mt[perm[x]][perm[y]] = perm[self.meet_table[x][y]]
-        return LambdaLattice(sub, jt, mt, _trusted=True)
+        return LambdaLattice._from_tables(sub, _frozen(jt), _frozen(mt))
 
     def isomorphisms(self, other: "LambdaLattice") -> Iterator[tuple[int, ...]]:
         """Bijections preserving order and both operations."""
@@ -309,28 +302,43 @@ class LambdaLattice:
 # ----- construction from a poset plus choices -----
 
 
+def _unique_extreme(bounds: int, toward: tuple[int, ...]) -> int | None:
+    # the element of bounds with no other element of bounds in its toward-mask, if unique
+    found = [e for e in _bits(bounds) if bounds & toward[e] == 1 << e]
+    return found[0] if len(found) == 1 else None
+
+
 def forced_join(p: Poset, x: int, y: int) -> int | None:
     """The unique minimal common upper bound, or None when there are several."""
-    ub = p._up[x] & p._up[y]
-    found = None
-    for u in _bits(ub):
-        if not ub & p._down[u] & ~(1 << u):
-            if found is not None:
-                return None
-            found = u
-    return found
+    return _unique_extreme(p._up[x] & p._up[y], p._down)
 
 
 def forced_meet(p: Poset, x: int, y: int) -> int | None:
     """The unique maximal common lower bound, or None when there are several."""
-    lb = p._down[x] & p._down[y]
-    found = None
-    for l in _bits(lb):
-        if not lb & p._up[l] & ~(1 << l):
-            if found is not None:
-                return None
-            found = l
-    return found
+    return _unique_extreme(p._down[x] & p._down[y], p._up)
+
+
+def _frozen(rows) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, rows))
+
+
+def _check_bound(p: Poset, op: str, x: int, y: int, v) -> None:
+    """Raise unless v is a common upper ("join") or lower ("meet") bound of x and y."""
+    _check_index(p.n, v)
+    masks, side = (p._up, "upper") if op == "join" else (p._down, "lower")
+    if not (masks[x] & masks[y]) >> v & 1:
+        raise BadChoiceError(
+            f"{op}({p.label(x)}, {p.label(y)}) = {p.label(v)} is not a common {side} bound",
+            pair=(x, y),
+        )
+
+
+def _base_rows(p: Poset) -> tuple[list[list[int]], list[list[int]]]:
+    """Join and meet rows with max and min on comparable pairs, 0 on incomparable ones."""
+    up, n = p._up, p.n
+    jt = [[y if up[x] >> y & 1 else x if up[y] >> x & 1 else 0 for y in range(n)] for x in range(n)]
+    mt = [[x if up[x] >> y & 1 else y if up[y] >> x & 1 else 0 for y in range(n)] for x in range(n)]
+    return jt, mt
 
 
 def from_choice(p: Poset, choice: ChoiceSpec | None = None, *, fill: str = "forced") -> LambdaLattice:
@@ -348,53 +356,21 @@ def from_choice(p: Poset, choice: ChoiceSpec | None = None, *, fill: str = "forc
         raise ValueError(f"unknown fill policy {fill!r}")
     if not p.is_directed():
         raise NotDirectedError("a completion needs a directed poset")
-    n = p.n
     joins = dict(choice.joins) if choice is not None else {}
     meets = dict(choice.meets) if choice is not None else {}
-    jt = [[0] * n for _ in range(n)]
-    mt = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            if p._up[x] >> y & 1:
-                jt[x][y] = y
-                mt[x][y] = x
-            elif p._up[y] >> x & 1:
-                jt[x][y] = x
-                mt[x][y] = y
+    jt, mt = _base_rows(p)
+    sides = (("join", joins, jt, p.top, forced_join), ("meet", meets, mt, p.bottom, forced_meet))
     missing: list[tuple[str, int, int]] = []
     for x, y in p.incomparable_pairs:
-        jv = joins.pop((x, y), None)
-        if jv is None:
-            if fill == "acute":
-                jv = p.top
-            elif fill == "forced":
-                jv = forced_join(p, x, y)
-        if jv is None:
-            missing.append(("join", x, y))
-        else:
-            _check_index(n, jv)
-            if not (p.leq(x, jv) and p.leq(y, jv)):
-                raise BadChoiceError(
-                    f"join({p.label(x)}, {p.label(y)}) = {p.label(jv)} is not a common upper bound",
-                    pair=(x, y),
-                )
-            jt[x][y] = jt[y][x] = jv
-        mv = meets.pop((x, y), None)
-        if mv is None:
-            if fill == "acute":
-                mv = p.bottom
-            elif fill == "forced":
-                mv = forced_meet(p, x, y)
-        if mv is None:
-            missing.append(("meet", x, y))
-        else:
-            _check_index(n, mv)
-            if not (p.leq(mv, x) and p.leq(mv, y)):
-                raise BadChoiceError(
-                    f"meet({p.label(x)}, {p.label(y)}) = {p.label(mv)} is not a common lower bound",
-                    pair=(x, y),
-                )
-            mt[x][y] = mt[y][x] = mv
+        for op, picks, table, acute_value, forced in sides:
+            v = picks.pop((x, y), None)
+            if v is None and fill != "none":
+                v = acute_value if fill == "acute" else forced(p, x, y)
+            if v is None:
+                missing.append((op, x, y))
+            else:
+                _check_bound(p, op, x, y, v)
+                table[x][y] = table[y][x] = v
     if joins or meets:
         pair = next(iter(joins or meets))
         raise BadChoiceError(
@@ -406,7 +382,7 @@ def from_choice(p: Poset, choice: ChoiceSpec | None = None, *, fill: str = "forc
         raise IncompleteChoiceError(
             f"no value for: {gaps}", pairs=tuple((x, y) for _, x, y in missing)
         )
-    return LambdaLattice(p, jt, mt)
+    return LambdaLattice._from_tables(p, _frozen(jt), _frozen(mt))
 
 
 def acute(p: Poset) -> LambdaLattice:
@@ -429,18 +405,11 @@ def idempotency_holds(ll: LambdaLattice) -> bool:
 def is_lattice(ll: LambdaLattice) -> bool:
     """Join is always the least upper bound and meet the greatest lower bound."""
     p = ll.poset
-    up, down = p._up, p._down
-    for x in range(p.n):
-        for y in range(x + 1, p.n):
-            ub = up[x] & up[y]
-            least = next((u for u in _bits(ub) if not ub & ~up[u]), None)
-            if least is None or ll.join_table[x][y] != least:
-                return False
-            lb = down[x] & down[y]
-            greatest = next((l for l in _bits(lb) if not lb & ~down[l]), None)
-            if greatest is None or ll.meet_table[x][y] != greatest:
-                return False
-    return True
+    jt, mt = ll.join_table, ll.meet_table
+    return all(
+        jt[x][y] == lub and mt[x][y] == glb
+        for (x, y), (lub, glb) in zip(p.incomparable_pairs, p._least_bounds)
+    )
 
 
 def is_monotone(ll: LambdaLattice) -> bool:

@@ -323,6 +323,18 @@ class Poset:
             if not (self._up[x] >> y & 1) and not (self._up[y] >> x & 1)
         )
 
+    @cached_property
+    def _least_bounds(self) -> tuple[tuple[int | None, int | None], ...]:
+        # per incomparable pair: least upper and greatest lower bound, None where missing
+        def least(b: int, masks: tuple[int, ...]) -> int | None:
+            return next((e for e in _bits(b) if not b & ~masks[e]), None)
+
+        up, down = self._up, self._down
+        return tuple(
+            (least(up[x] & up[y], up), least(down[x] & down[y], down))
+            for x, y in self.incomparable_pairs
+        )
+
     def atoms(self) -> frozenset[int]:
         """Covers of the bottom element."""
         if self.bottom is None:

@@ -12,13 +12,15 @@ from itertools import product
 from typing import Callable, Iterator
 
 from . import checkers
-from .errors import BudgetError, NotDirectedError, UnknownTheoremError
+from .errors import ArgumentError, BudgetError, NotDirectedError, UnknownTheoremError
 from .lattice import (
-    ChoiceSpec,
     LambdaLattice,
+    _base_rows,
+    _check_bound,
+    _frozen,
     acute,
-    from_choice,
     convex_closed_subsets,
+    from_choice,  # noqa: F401  (bench/tracing.py rebinds search.from_choice)
     is_distributive,
     is_lattice,
     is_modular,
@@ -47,7 +49,7 @@ class EnumerationFilter:
 
     def __post_init__(self):
         if self.max_elements < 1:
-            raise ValueError("max_elements must be at least 1")
+            raise ArgumentError("max_elements must be at least 1")
 
 
 # ----- labeled poset generation -----
@@ -156,38 +158,47 @@ def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:
 def enumerate_completions(
     p: Poset, budget: int | None = DEFAULT_COMPLETION_BUDGET
 ) -> Iterator[LambdaLattice]:
-    """Every completion of a directed poset, one per total choice.
+    """Every completion of a directed poset, one per total choice, built lazily.
 
     The stream is the Cartesian product over incomparable pairs of all
     common upper bounds times all common lower bounds, in sorted pair
-    and bound order. Raises BudgetError up front when the product
-    exceeds the budget; it never samples.
+    and bound order. The budget is decided from completion_count before
+    anything is built: BudgetError when the product exceeds it (None
+    means no limit); it never samples. Options are checked against the
+    order once per poset, so each completion only writes its choices
+    into the comparable-pair base tables and is built trusted.
     """
     if not p.is_directed():
         raise NotDirectedError("completions need a directed poset")
+    if budget is not None:
+        total = completion_count(p)
+        if total > budget:
+            raise BudgetError(
+                f"{total} completions exceed the budget of {budget}", required=total
+            )
+    up, down = p._up, p._down
     pairs = p.incomparable_pairs
     options = []
-    total = 1
     for x, y in pairs:
-        us = sorted(p.upper_bounds(x, y))
-        ls = sorted(p.lower_bounds(x, y))
-        options.append([(u, l) for u in us for l in ls])
-        total *= len(us) * len(ls)
-    if budget is not None and total > budget:
-        raise BudgetError(
-            f"{total} completions exceed the budget of {budget}", required=total
-        )
+        ups, downs = tuple(_bits(up[x] & up[y])), tuple(_bits(down[x] & down[y]))
+        for op, bounds in (("join", ups), ("meet", downs)):
+            for v in bounds:
+                _check_bound(p, op, x, y, v)
+        options.append([(u, l) for u in ups for l in downs])
+    jt, mt = _base_rows(p)
     for combo in product(*options):
-        joins = {pair: uv for pair, (uv, _) in zip(pairs, combo)}
-        meets = {pair: lv for pair, (_, lv) in zip(pairs, combo)}
-        yield from_choice(p, ChoiceSpec(joins, meets), fill="none")
+        for (x, y), (u, l) in zip(pairs, combo):
+            jt[x][y] = jt[y][x] = u
+            mt[x][y] = mt[y][x] = l
+        yield LambdaLattice._from_tables(p, _frozen(jt), _frozen(mt))
 
 
 def completion_count(p: Poset) -> int:
     """Size of the completion stream without generating it."""
+    up, down = p._up, p._down
     total = 1
     for x, y in p.incomparable_pairs:
-        total *= len(p.upper_bounds(x, y)) * len(p.lower_bounds(x, y))
+        total *= (up[x] & up[y]).bit_count() * (down[x] & down[y]).bit_count()
     return total
 
 
@@ -501,10 +512,15 @@ def verify(
     """Replay one theorem over every enumerated instance in range.
 
     Stops at the first (least, by encoding) counterexample unless
-    collect_all is set. Posets whose completion stream exceeds the
-    budget are counted as skipped, never sampled.
+    collect_all is set. A poset whose completion_count exceeds the
+    budget is counted as skipped before any completion is built, never
+    sampled; the others stream their completions lazily, so a first-hit
+    run stops building at the counterexample. Budgets below 1 would
+    skip everything and are rejected.
     """
     th = _lookup(theorem_id)
+    if budget < 1:
+        raise ArgumentError(f"the completion budget must be at least 1, got {budget}")
     if flt is None:
         flt = EnumerationFilter(max_elements=th.default_max_elements)
     eff = flt
@@ -526,17 +542,11 @@ def verify(
                 v = th.conclusion(p)
                 if not v.holds:
                     found.append(Counterexample(th.theorem_id, p, None, v.witness, v.note))
-                    if not collect_all:
-                        break
+        elif completion_count(p) > budget:
+            posets_skipped += 1
         else:
-            try:
-                completions = list(enumerate_completions(p, budget))
-            except BudgetError:
-                posets_skipped += 1
-                continue
             posets_checked += 1
-            stop = False
-            for ll in completions:
+            for ll in enumerate_completions(p, None):
                 lattices_checked += 1
                 if not th.hypothesis(ll):
                     continue
@@ -544,10 +554,9 @@ def verify(
                 if not v.holds:
                     found.append(Counterexample(th.theorem_id, p, ll, v.witness, v.note))
                     if not collect_all:
-                        stop = True
                         break
-            if stop:
-                break
+        if found and not collect_all:
+            break
 
     elapsed = time.perf_counter() - start
     kind = "bounded posets" if (eff.require_bounded or eff.require_directed) else "posets"

@@ -106,3 +106,22 @@ def oracle_height(n, covers, bottom, x):
     """Longest cover path from the bottom, counted in steps."""
     paths = cover_paths(n, covers, bottom, x)
     return max(len(p) - 1 for p in paths)
+
+
+def relation_from_covers(n, covers):
+    """The order as a set of (a, b) pairs meaning a <= b."""
+    return {(a, b) for a, ups in enumerate(reachable_up(n, covers)) for b in ups}
+
+
+def is_lattice_naive(n, rel, join, meet):
+    """For all x, y: join[x][y] is the least common upper bound and
+    meet[x][y] the greatest common lower bound, both of which must exist."""
+    for x in range(n):
+        for y in range(n):
+            upper = {z for z in range(n) if (x, z) in rel and (y, z) in rel}
+            lower = {z for z in range(n) if (z, x) in rel and (z, y) in rel}
+            least = [u for u in upper if all((u, v) in rel for v in upper)]
+            greatest = [w for w in lower if all((v, w) in rel for v in lower)]
+            if least != [join[x][y]] or greatest != [meet[x][y]]:
+                return False
+    return True

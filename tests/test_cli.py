@@ -110,10 +110,24 @@ def test_verify_unknown_theorem(capsys):
 
 
 def test_verify_budget_flag(capsys):
-    assert main(["verify", "MONO", "--max-n", "3", "--budget", "0", "--json"]) == 0
+    # at n = 5 the 120 bounded posets whose middle is a V or a Lambda have two completions
+    assert main(["verify", "MONO", "--max-n", "5", "--budget", "1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["posets_skipped"] == 9
-    assert doc["posets_checked"] == 0
+    assert doc["posets_skipped"] == 120
+    assert doc["posets_checked"] == 305
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "TH1", "--max-n", "0"],
+    ["enumerate", "--n", "0"],
+    ["verify", "TH1", "--budget", "0"],
+    ["verify", "TH1", "--budget", "-1"],
+])
+def test_sizes_and_budgets_below_one_exit_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "at least 1" in captured.err
+    assert "counterexample" not in captured.out
 
 
 def test_enumerate_count_only(capsys):

@@ -15,6 +15,7 @@ from lamlat import (
     acute,
     check_axioms,
     convex_closed_subsets,
+    enumerate_completions,
     enumerate_posets,
     from_choice,
     idempotency_holds,
@@ -25,6 +26,8 @@ from lamlat import (
     mk_poset,
 )
 from lamlat.fixtures import fixture, fixture_poset
+
+from oracles import is_lattice_naive, relation_from_covers
 
 
 def boolean_2x2():
@@ -152,6 +155,29 @@ def test_idempotency_fixtures(fixtures):
 def test_is_lattice_fig2_false():
     # U(a, b) has two minimal elements d, e: no least upper bound exists
     assert not is_lattice(fixture("FIG2"))
+
+
+def _is_lattice_oracle(ll):
+    n = ll.n
+    rel = relation_from_covers(n, ll.poset.covers)
+    return is_lattice_naive(n, rel, [list(r) for r in ll.join_table],
+                            [list(r) for r in ll.meet_table])
+
+
+def test_is_lattice_matches_oracle_on_fixtures(fixtures):
+    assert len(fixtures) == 7
+    for name, ll in fixtures.items():
+        assert is_lattice(ll) == _is_lattice_oracle(ll), name
+
+
+def test_is_lattice_matches_oracle_on_small_completions():
+    verdicts = []
+    for p in enumerate_posets(EnumerationFilter(max_elements=5, require_bounded=True)):
+        for ll in enumerate_completions(p):
+            verdicts.append(is_lattice(ll))
+            assert verdicts[-1] == _is_lattice_oracle(ll), ll.encoding()
+    assert len(verdicts) == 545
+    assert 0 < verdicts.count(True) < len(verdicts)
 
 
 def test_is_lattice_boolean_true():

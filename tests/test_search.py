@@ -1,8 +1,14 @@
+from itertools import product
+
 import pytest
 
 from lamlat import (
+    ArgumentError,
     BudgetError,
+    ChoiceSpec,
     EnumerationFilter,
+    LambdaLattice,
+    LamlatError,
     NotDirectedError,
     Poset,
     UnknownTheoremError,
@@ -10,6 +16,7 @@ from lamlat import (
     completion_count,
     enumerate_completions,
     enumerate_posets,
+    from_choice,
     independence_table,
     verify,
     violates,
@@ -136,6 +143,42 @@ def test_completion_budget():
     assert err.value.required == 9
 
 
+def _product_of_choices(p):
+    """Completions built one by one through from_choice, in product order."""
+    pairs = p.incomparable_pairs
+    options = [
+        [(u, l) for u in sorted(p.upper_bounds(x, y)) for l in sorted(p.lower_bounds(x, y))]
+        for x, y in pairs
+    ]
+    for combo in product(*options):
+        joins = {pair: u for pair, (u, _) in zip(pairs, combo)}
+        meets = {pair: l for pair, (_, l) in zip(pairs, combo)}
+        yield from_choice(p, ChoiceSpec(joins, meets), fill="none")
+
+
+def test_trusted_stream_matches_validated_construction():
+    total = 0
+    for p in enumerate_posets(EnumerationFilter(max_elements=5, require_bounded=True)):
+        stream = list(enumerate_completions(p))
+        assert stream == list(_product_of_choices(p))
+        for ll in stream:
+            assert ll == from_choice(p, ll.choice_spec(), fill="none")
+            assert ll == LambdaLattice(p, ll.join_table, ll.meet_table)
+        total += len(stream)
+    assert total == 545
+
+
+def test_stream_ascends_by_encoding_at_six():
+    total, last = 0, None
+    for p in enumerate_posets(EnumerationFilter(max_elements=6, require_bounded=True)):
+        for ll in enumerate_completions(p):
+            key = ll.encoding()
+            assert last is None or last < key
+            last = key
+            total += 1
+    assert total == 19955
+
+
 def test_completions_need_directed():
     with pytest.raises(NotDirectedError):
         list(enumerate_completions(Poset([[1, 0], [0, 1]])))
@@ -162,10 +205,29 @@ def test_verify_unknown_id():
 
 
 def test_verify_budget_skips_posets():
-    r = verify("MONO", EnumerationFilter(max_elements=3), budget=0)
-    assert r.posets_checked == 0
-    assert r.posets_skipped == 1 + 2 + 6
+    # bounded posets with n <= 4 have one completion each; at n = 5 the three
+    # middle elements form a V or a Lambda (6 of the 19 labeled three-element
+    # posets) in 6 * 20 posets, and those have two
+    r = verify("MONO", EnumerationFilter(max_elements=5), budget=1)
+    assert r.posets_skipped == 6 * 20
+    assert r.posets_checked == 425 - 120
+    assert r.lattices_checked == r.posets_checked
     assert r.counterexample is None
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify("MONO", EnumerationFilter(max_elements=3), budget=0),
+    lambda: verify("MONO", EnumerationFilter(max_elements=3), budget=-1),
+    lambda: EnumerationFilter(max_elements=0),
+])
+def test_sizes_and_budgets_below_one_rejected(call):
+    with pytest.raises(ArgumentError) as err:
+        call()
+    assert isinstance(err.value, LamlatError) and isinstance(err.value, ValueError)
+
+
+def test_unbudgeted_completions_allowed():
+    assert len(list(enumerate_completions(fixture_poset("FIG3"), budget=None))) == 9
 
 
 def test_mutant_lcc_conclusion_finds_counterexample():
