@@ -11,7 +11,25 @@ from enum import Enum
 from .errors import UnboundedError
 from .lattice import LambdaLattice
 from .poset import Poset, _bits
-from .verdict import Verdict
+from .verdict import DictRecord, Verdict
+
+
+def _semimodular_frames(ll: LambdaLattice):
+    """(x, y, between, ucands) for every x || y with some z strictly between x^y and x.
+
+    between is the mask of those z; ucands are the u with x^y < u <= y.
+    """
+    p = ll.poset
+    up, down = p._up, p._down
+    mt = ll.meet_table
+    for x in range(p.n):
+        for y in range(p.n):
+            if up[x] >> y & 1 or up[y] >> x & 1:
+                continue
+            m = mt[x][y]
+            between = up[m] & down[x] & ~(1 << m) & ~(1 << x)
+            if between:
+                yield x, y, between, tuple(_bits(up[m] & down[y] & ~(1 << m)))
 
 
 def is_semimodular(ll: LambdaLattice) -> Verdict:
@@ -20,21 +38,11 @@ def is_semimodular(ll: LambdaLattice) -> Verdict:
     A failing verdict carries the least triple (x, y, z) for which no
     such u exists.
     """
-    p = ll.poset
-    up, down = p._up, p._down
     jt, mt = ll.join_table, ll.meet_table
-    for x in range(p.n):
-        for y in range(p.n):
-            if up[x] >> y & 1 or up[y] >> x & 1:
-                continue
-            m = mt[x][y]
-            between = up[m] & down[x] & ~(1 << m) & ~(1 << x)
-            if not between:
-                continue
-            ucands = tuple(_bits(up[m] & down[y] & ~(1 << m)))
-            for z in _bits(between):
-                if not any(mt[jt[z][u]][x] == z for u in ucands):
-                    return Verdict(False, (x, y, z))
+    for x, y, between, ucands in _semimodular_frames(ll):
+        for z in _bits(between):
+            if not any(mt[jt[z][u]][x] == z for u in ucands):
+                return Verdict(False, (x, y, z))
     return Verdict(True)
 
 
@@ -45,57 +53,48 @@ def lemma1_refutes(ll: LambdaLattice) -> tuple[int, int, int, int] | None:
     x, and c v e = d v f for every e, f with x^y < e, f <= y. A returned
     quadruple implies is_semimodular() fails.
     """
+    jt = ll.join_table
+    for x, y, between, es in _semimodular_frames(ll):
+        if between.bit_count() < 2:
+            continue
+        cs = tuple(_bits(between))
+        for c in cs:
+            joins_c = {jt[c][e] for e in es}
+            if len(joins_c) != 1:
+                continue
+            for d in cs:
+                if d == c:
+                    continue
+                if {jt[d][f] for f in es} == joins_c:
+                    return (x, y, c, d)
+    return None
+
+
+def _lower_covering(ll: LambdaLattice, guard) -> Verdict:
+    """x^y -< x with x v y in the mask guard[x] forces y -< x v y."""
     p = ll.poset
-    up, down = p._up, p._down
+    cov = p._covers_above
     jt, mt = ll.join_table, ll.meet_table
     for x in range(p.n):
         for y in range(p.n):
-            if up[x] >> y & 1 or up[y] >> x & 1:
-                continue
-            m = mt[x][y]
-            between = tuple(_bits(up[m] & down[x] & ~(1 << m) & ~(1 << x)))
-            if len(between) < 2:
-                continue
-            es = tuple(_bits(up[m] & down[y] & ~(1 << m)))
-            for c in between:
-                joins_c = {jt[c][e] for e in es}
-                if len(joins_c) != 1:
-                    continue
-                for d in between:
-                    if d == c:
-                        continue
-                    if {jt[d][f] for f in es} == joins_c:
-                        return (x, y, c, d)
-    return None
+            j = jt[x][y]
+            if cov[mt[x][y]] >> x & 1 and not cov[y] >> j & 1 and guard[x] >> j & 1:
+                return Verdict(False, (x, y))
+    return Verdict(True)
 
 
 def satisfies_wlcc(ll: LambdaLattice) -> Verdict:
     """Weak lower covering condition: x^y -< x -< x v y forces y -< x v y."""
-    p = ll.poset
-    cov = p._covers_above
-    jt, mt = ll.join_table, ll.meet_table
-    for x in range(p.n):
-        for y in range(p.n):
-            m, j = mt[x][y], jt[x][y]
-            if cov[m] >> x & 1 and cov[x] >> j & 1 and not cov[y] >> j & 1:
-                return Verdict(False, (x, y))
-    return Verdict(True)
+    return _lower_covering(ll, ll.poset._covers_above)
 
 
 def satisfies_lcc(ll: LambdaLattice) -> Verdict:
     """Lower covering condition: x^y -< x forces y -< x v y."""
-    p = ll.poset
-    cov = p._covers_above
-    jt, mt = ll.join_table, ll.meet_table
-    for x in range(p.n):
-        for y in range(p.n):
-            if cov[mt[x][y]] >> x & 1 and not cov[y] >> jt[x][y] & 1:
-                return Verdict(False, (x, y))
-    return Verdict(True)
+    return _lower_covering(ll, (-1,) * ll.poset.n)  # all-ones rows: no x -< x v y guard
 
 
-def cond3(ll: LambdaLattice) -> Verdict:
-    """x || y, x || z and y < z force x ^ y <= x ^ z."""
+def _meet_steps(ll: LambdaLattice, steps) -> Verdict:
+    """x || y, x || z and z in the mask steps[y] force x ^ y <= x ^ z."""
     p = ll.poset
     up = p._up
     mt = ll.meet_table
@@ -103,29 +102,22 @@ def cond3(ll: LambdaLattice) -> Verdict:
         for y in range(p.n):
             if up[x] >> y & 1 or up[y] >> x & 1:
                 continue
-            for z in _bits(up[y] & ~(1 << y)):
+            for z in _bits(steps[y] & ~(1 << y)):
                 if up[x] >> z & 1 or up[z] >> x & 1:
                     continue
                 if not up[mt[x][y]] >> mt[x][z] & 1:
                     return Verdict(False, (x, y, z))
     return Verdict(True)
+
+
+def cond3(ll: LambdaLattice) -> Verdict:
+    """x || y, x || z and y < z force x ^ y <= x ^ z."""
+    return _meet_steps(ll, ll.poset._up)
 
 
 def cond4(ll: LambdaLattice) -> Verdict:
     """x || y, x || z and y -< z force x ^ y <= x ^ z."""
-    p = ll.poset
-    up, cov = p._up, p._covers_above
-    mt = ll.meet_table
-    for x in range(p.n):
-        for y in range(p.n):
-            if up[x] >> y & 1 or up[y] >> x & 1:
-                continue
-            for z in _bits(cov[y]):
-                if up[x] >> z & 1 or up[z] >> x & 1:
-                    continue
-                if not up[mt[x][y]] >> mt[x][z] & 1:
-                    return Verdict(False, (x, y, z))
-    return Verdict(True)
+    return _meet_steps(ll, ll.poset._covers_above)
 
 
 def cond5(ll: LambdaLattice) -> Verdict:
@@ -202,28 +194,11 @@ class AcuteClause(Enum):
 
 
 @dataclass(frozen=True)
-class AcuteCharacterization:
+class AcuteCharacterization(DictRecord):
     clause: AcuteClause
     k: int | None
     atoms: frozenset[int]
     coatoms: frozenset[int]
-
-    def to_dict(self) -> dict:
-        return {
-            "clause": self.clause.value,
-            "k": self.k,
-            "atoms": sorted(self.atoms),
-            "coatoms": sorted(self.coatoms),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AcuteCharacterization":
-        return cls(
-            AcuteClause(d["clause"]),
-            d.get("k"),
-            frozenset(d["atoms"]),
-            frozenset(d["coatoms"]),
-        )
 
 
 def mk_isomorphic(p: Poset) -> int | None:
@@ -265,7 +240,7 @@ def acute_characterization(p: Poset) -> AcuteCharacterization:
 
 
 @dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(DictRecord):
     """One verdict per structural property of a single instance."""
 
     semimodular: Verdict
@@ -280,24 +255,6 @@ class PropertyReport:
     def row(self) -> tuple[bool, bool, bool]:
         """(semimodular, wlcc, lcc) truth triple."""
         return (self.semimodular.holds, self.wlcc.holds, self.lcc.holds)
-
-    def to_dict(self) -> dict:
-        return {
-            "semimodular": self.semimodular.to_dict(),
-            "wlcc": self.wlcc.to_dict(),
-            "lcc": self.lcc.to_dict(),
-            "cond3": self.cond3.to_dict(),
-            "cond4": self.cond4.to_dict(),
-            "cond5": self.cond5.to_dict(),
-            "dcc": self.dcc.to_dict(),
-            "lu_covering": self.lu_covering.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PropertyReport":
-        return cls(**{name: Verdict.from_dict(d[name]) for name in (
-            "semimodular", "wlcc", "lcc", "cond3", "cond4", "cond5", "dcc", "lu_covering"
-        )})
 
 
 def classify(ll: LambdaLattice) -> PropertyReport:

@@ -34,7 +34,11 @@ def _load(spec: str) -> tuple[str, Poset | LambdaLattice]:
     """Resolve FILE-or-fixture-name to a parsed instance."""
     path = Path(spec)
     if path.exists():
-        return path.stem, parse_instance(path.read_text())
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise LamlatError(f"{spec} is not UTF-8 text: {exc}") from exc
+        return path.stem, parse_instance(text)
     if spec in FIXTURE_NAMES:
         return spec, fixture(spec)
     raise FileNotFoundError(f"no such file or fixture: {spec}")

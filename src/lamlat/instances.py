@@ -122,12 +122,9 @@ def render_instance(obj: Poset | LambdaLattice) -> str:
     if p.covers:
         lines.append("covers: " + "  ".join(f"{names[a]} < {names[b]}" for a, b in p.covers))
     if isinstance(obj, LambdaLattice):
-        for (x, y) in p.incomparable_pairs:
-            v = obj.join_table[x][y]
-            if forced_join(p, x, y) != v:
-                lines.append(f"join: {names[x]} {names[y]} = {names[v]}")
-        for (x, y) in p.incomparable_pairs:
-            v = obj.meet_table[x][y]
-            if forced_meet(p, x, y) != v:
-                lines.append(f"meet: {names[x]} {names[y]} = {names[v]}")
+        for op, table, forced in (("join", obj.join_table, forced_join),
+                                  ("meet", obj.meet_table, forced_meet)):
+            for x, y in p.incomparable_pairs:
+                if forced(p, x, y) != table[x][y]:
+                    lines.append(f"{op}: {names[x]} {names[y]} = {names[table[x][y]]}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """Lambda-lattice algebras: operation tables, axiom checks, completions of directed posets."""
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -11,7 +12,7 @@ from .errors import (
     UnboundedError,
 )
 from .poset import Poset, _bits, _check_index
-from .verdict import Verdict
+from .verdict import DictRecord, Verdict
 
 Pair = tuple[int, int]
 
@@ -41,7 +42,7 @@ class ChoiceSpec:
 
 
 @dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(DictRecord):
     """Verdicts for the three defining identities of the algebra."""
 
     commutativity: Verdict
@@ -51,21 +52,6 @@ class AxiomReport:
     @property
     def all_pass(self) -> bool:
         return self.commutativity.holds and self.weak_associativity.holds and self.absorption.holds
-
-    def to_dict(self) -> dict:
-        return {
-            "commutativity": self.commutativity.to_dict(),
-            "weak_associativity": self.weak_associativity.to_dict(),
-            "absorption": self.absorption.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AxiomReport":
-        return cls(
-            Verdict.from_dict(d["commutativity"]),
-            Verdict.from_dict(d["weak_associativity"]),
-            Verdict.from_dict(d["absorption"]),
-        )
 
 
 def _table(t) -> tuple[tuple[int, ...], ...]:
@@ -96,52 +82,30 @@ def check_axioms(join, meet) -> AxiomReport:
         raise ValueError("join and meet tables differ in size")
     n = len(jt)
 
-    comm = Verdict(True)
-    for x in range(n):
-        for y in range(x + 1, n):
-            if jt[x][y] != jt[y][x]:
-                comm = Verdict(False, (x, y), "x v y = y v x fails")
-                break
-            if mt[x][y] != mt[y][x]:
-                comm = Verdict(False, (x, y), "x ^ y = y ^ x fails")
-                break
-        else:
-            continue
-        break
+    # each identity is stated once over a (join, meet) side tuple; its scan
+    # visits the tuples in order and tries the join half before the meet
+    # half, so the first failure is the least witness
+    sides = (("v", "^", jt, mt), ("^", "v", mt, jt))
 
-    wassoc = Verdict(True)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                t = jt[jt[x][y]][z]
-                if jt[x][t] != t:
-                    wassoc = Verdict(False, (x, y, z), "x v ((x v y) v z) = (x v y) v z fails")
-                    break
-                t = mt[mt[x][y]][z]
-                if mt[x][t] != t:
-                    wassoc = Verdict(False, (x, y, z), "x ^ ((x ^ y) ^ z) = (x ^ y) ^ z fails")
-                    break
-            else:
-                continue
-            break
-        else:
-            continue
-        break
+    def first_failure(failures, note: str) -> Verdict:
+        hit = next(failures, None)
+        if hit is None:
+            return Verdict(True)
+        w, op, dual = hit
+        return Verdict(False, w, note.format(op=op, dual=dual))
 
-    absorb = Verdict(True)
-    for x in range(n):
-        for y in range(n):
-            if jt[x][mt[x][y]] != x:
-                absorb = Verdict(False, (x, y), "x v (x ^ y) = x fails")
-                break
-            if mt[x][jt[x][y]] != x:
-                absorb = Verdict(False, (x, y), "x ^ (x v y) = x fails")
-                break
-        else:
-            continue
-        break
-
-    return AxiomReport(comm, wassoc, absorb)
+    pairs = tuple(product(range(n), repeat=2))
+    return AxiomReport(
+        first_failure((((x, y), op, dual) for x, y in pairs if x < y
+                       for op, dual, t, _ in sides if t[x][y] != t[y][x]),
+                      "x {op} y = y {op} x fails"),
+        first_failure((((x, y, z), op, dual) for x, y, z in product(range(n), repeat=3)
+                       for op, dual, t, _ in sides if t[x][t[t[x][y]][z]] != t[t[x][y]][z]),
+                      "x {op} ((x {op} y) {op} z) = (x {op} y) {op} z fails"),
+        first_failure((((x, y), op, dual) for x, y in pairs
+                       for op, dual, t, d in sides if t[x][d[x][y]] != x),
+                      "x {op} (x {dual} y) = x fails"),
+    )
 
 
 class LambdaLattice:
@@ -154,8 +118,7 @@ class LambdaLattice:
 
     def __init__(self, poset: Poset, join, meet):
         self.poset = poset
-        self.join_table = tuple(tuple(int(v) for v in row) for row in join)
-        self.meet_table = tuple(tuple(int(v) for v in row) for row in meet)
+        self.join_table, self.meet_table = _table(join), _table(meet)
         self._validate()
 
     @classmethod
@@ -168,12 +131,9 @@ class LambdaLattice:
     def _validate(self) -> None:
         p, n = self.poset, self.poset.n
         jt, mt = self.join_table, self.meet_table
-        if len(jt) != n or len(mt) != n or any(len(r) != n for r in jt + mt):
+        # _table has checked that each table is square with entries in range
+        if len(jt) != n or len(mt) != n:
             raise ValueError("operation tables must be n x n")
-        for row in jt + mt:
-            for v in row:
-                if not 0 <= v < n:
-                    raise RangeError(f"table entry {v} out of range 0..{n - 1}")
         up = p._up
         base_j, base_m = _base_rows(p)
         for x in range(n):

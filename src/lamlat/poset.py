@@ -22,6 +22,17 @@ def _check_index(n: int, x) -> None:
         raise RangeError(f"element index {x!r} out of range 0..{n - 1}")
 
 
+def _permuted(up: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
+    """Relation rows carried along the old-index -> new-index permutation."""
+    out = [0] * len(up)
+    for i, row in enumerate(up):
+        mask = 0
+        for j in _bits(row):
+            mask |= 1 << perm[j]
+        out[perm[i]] = mask
+    return tuple(out)
+
+
 def _validate_order(n: int, up: Sequence[int]) -> None:
     for i in range(n):
         if not up[i] >> i & 1:
@@ -354,12 +365,7 @@ class Poset:
         n = self.n
         if sorted(perm) != list(range(n)):
             raise ValueError("not a permutation of the carrier")
-        up = [0] * n
-        for i in range(n):
-            mask = 0
-            for j in _bits(self._up[i]):
-                mask |= 1 << perm[j]
-            up[perm[i]] = mask
+        up = _permuted(self._up, perm)
         labels = None
         if self.labels is not None:
             moved = [""] * n
@@ -396,17 +402,7 @@ class Poset:
 
     def is_canonical(self) -> bool:
         """True iff the encoding is minimal over all relabelings."""
-        n = self.n
-        for perm in permutations(range(n)):
-            up = [0] * n
-            for i in range(n):
-                mask = 0
-                for j in _bits(self._up[i]):
-                    mask |= 1 << perm[j]
-                up[perm[i]] = mask
-            if tuple(up) < self._up:
-                return False
-        return True
+        return all(_permuted(self._up, perm) >= self._up for perm in permutations(range(self.n)))
 
     # ----- isomorphism (brute force; intended for small n) -----
 

@@ -9,34 +9,20 @@ from .checkers import (
     classify,
 )
 from .lattice import AxiomReport, LambdaLattice
+from .verdict import DictRecord
 
 
 @dataclass(frozen=True)
-class ChainSummary:
+class ChainSummary(DictRecord):
     """Maximal-chain statistics for bounded instances."""
 
     equal_length_from_every_element: bool
     count_from_bottom: int
     lengths_from_bottom: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "equal_length_from_every_element": self.equal_length_from_every_element,
-            "count_from_bottom": self.count_from_bottom,
-            "lengths_from_bottom": list(self.lengths_from_bottom),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChainSummary":
-        return cls(
-            d["equal_length_from_every_element"],
-            d["count_from_bottom"],
-            tuple(d["lengths_from_bottom"]),
-        )
-
 
 @dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(DictRecord):
     """Everything the CLI reports about one instance.
 
     Round-trips losslessly through to_dict/from_dict; the dict form is
@@ -52,31 +38,6 @@ class ReportDocument:
     heights: tuple[int, ...] | None
     chain_summary: ChainSummary | None
     acute: AcuteCharacterization | None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "labels": list(self.labels),
-            "axioms": self.axioms.to_dict(),
-            "properties": self.properties.to_dict(),
-            "heights": list(self.heights) if self.heights is not None else None,
-            "chain_summary": self.chain_summary.to_dict() if self.chain_summary else None,
-            "acute": self.acute.to_dict() if self.acute else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReportDocument":
-        return cls(
-            name=d["name"],
-            n=d["n"],
-            labels=tuple(d["labels"]),
-            axioms=AxiomReport.from_dict(d["axioms"]),
-            properties=PropertyReport.from_dict(d["properties"]),
-            heights=tuple(d["heights"]) if d.get("heights") is not None else None,
-            chain_summary=ChainSummary.from_dict(d["chain_summary"]) if d.get("chain_summary") else None,
-            acute=AcuteCharacterization.from_dict(d["acute"]) if d.get("acute") else None,
-        )
 
 
 def build_report(name: str, ll: LambdaLattice) -> ReportDocument:

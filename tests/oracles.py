@@ -125,3 +125,103 @@ def is_lattice_naive(n, rel, join, meet):
             if least != [join[x][y]] or greatest != [meet[x][y]]:
                 return False
     return True
+
+
+# ----- checker oracles -----
+#
+# rel is the order as a set of (a, b) pairs meaning a <= b; join and meet
+# are the completion's tables as nested lists. Each oracle scans x, y, z
+# in ascending order and returns the first violating tuple, or None.
+
+
+def _lt(rel, a, b):
+    return a != b and (a, b) in rel
+
+
+def _incomparable(rel, a, b):
+    return (a, b) not in rel and (b, a) not in rel
+
+
+def cover_relation(n, rel):
+    """(a, b) with a < b and no element strictly between."""
+    return {
+        (a, b) for a in range(n) for b in range(n)
+        if _lt(rel, a, b) and not any(_lt(rel, a, c) and _lt(rel, c, b) for c in range(n))
+    }
+
+
+def semimodular_witness(n, rel, join, meet):
+    """x || y and x^y < z < x with no u, x^y < u <= y, such that (z v u) ^ x = z."""
+    for x in range(n):
+        for y in range(n):
+            if not _incomparable(rel, x, y):
+                continue
+            m = meet[x][y]
+            for z in range(n):
+                if _lt(rel, m, z) and _lt(rel, z, x) and not any(
+                    _lt(rel, m, u) and (u, y) in rel and meet[join[z][u]][x] == z
+                    for u in range(n)
+                ):
+                    return (x, y, z)
+    return None
+
+
+def lemma1_quadruple(n, rel, join, meet):
+    """x || y, distinct c, d strictly between x^y and x, and c v e = d v f
+    for every e, f with x^y < e, f <= y."""
+    for x in range(n):
+        for y in range(n):
+            if not _incomparable(rel, x, y):
+                continue
+            m = meet[x][y]
+            between = [c for c in range(n) if _lt(rel, m, c) and _lt(rel, c, x)]
+            es = [e for e in range(n) if _lt(rel, m, e) and (e, y) in rel]
+            for c in between:
+                for d in between:
+                    if c != d and all(join[c][e] == join[d][f] for e in es for f in es):
+                        return (x, y, c, d)
+    return None
+
+
+def cond3_witness(n, rel, join, meet):
+    """x || y, x || z and y < z with x ^ y not below x ^ z."""
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if (_incomparable(rel, x, y) and _incomparable(rel, x, z) and _lt(rel, y, z)
+                        and (meet[x][y], meet[x][z]) not in rel):
+                    return (x, y, z)
+    return None
+
+
+def cond4_witness(n, rel, join, meet):
+    """x || y, x || z and y -< z with x ^ y not below x ^ z."""
+    cov = cover_relation(n, rel)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if (_incomparable(rel, x, y) and _incomparable(rel, x, z) and (y, z) in cov
+                        and (meet[x][y], meet[x][z]) not in rel):
+                    return (x, y, z)
+    return None
+
+
+def wlcc_witness(n, rel, join, meet):
+    """x ^ y -< x -< x v y without y -< x v y."""
+    cov = cover_relation(n, rel)
+    for x in range(n):
+        for y in range(n):
+            j = join[x][y]
+            if (meet[x][y], x) in cov and (x, j) in cov and (y, j) not in cov:
+                return (x, y)
+    return None
+
+
+def lcc_witness(n, rel, join, meet):
+    """x ^ y -< x without y -< x v y."""
+    cov = cover_relation(n, rel)
+    for x in range(n):
+        for y in range(n):
+            if (meet[x][y], x) in cov and (y, join[x][y]) not in cov:
+                return (x, y)
+    return None

@@ -22,6 +22,16 @@ from lamlat import (
     satisfies_wlcc,
 )
 from lamlat.fixtures import fixture, fixture_poset
+from lamlat.search import EnumerationFilter, enumerate_completions, enumerate_posets
+from oracles import (
+    cond3_witness,
+    cond4_witness,
+    lcc_witness,
+    lemma1_quadruple,
+    relation_from_covers,
+    semimodular_witness,
+    wlcc_witness,
+)
 
 
 def chain_lattice(n):
@@ -235,3 +245,38 @@ def test_classify_report_consistency(fixtures):
         assert report.dcc.holds, name
         for verdict in (report.semimodular, report.wlcc, report.lcc):
             assert verdict.holds == (verdict.witness is None), name
+
+
+# ----- differential check against set-based oracles -----
+
+ORACLES = (
+    (is_semimodular, semimodular_witness),
+    (lemma1_refutes, lemma1_quadruple),
+    (cond3, cond3_witness),
+    (cond4, cond4_witness),
+    (satisfies_wlcc, wlcc_witness),
+    (satisfies_lcc, lcc_witness),
+)
+
+
+def test_checkers_match_oracles_on_small_completions_and_fixtures(fixtures):
+    # verdict and least witness of each checker on every completion at n <= 5;
+    # cond3, cond4 and lemma1_refutes never fail there, so the fixtures (FIG2,
+    # FIG4, FIG5) supply their failing direction
+    small = [ll for p in enumerate_posets(EnumerationFilter(max_elements=5, require_bounded=True))
+             for ll in enumerate_completions(p)]
+    assert len(small) == 545
+    instances = small + list(fixtures.values())
+    failing = {checker.__name__: 0 for checker, _ in ORACLES}
+    for ll in instances:
+        n = ll.n
+        rel = relation_from_covers(n, ll.poset.covers)
+        jt, mt = [list(r) for r in ll.join_table], [list(r) for r in ll.meet_table]
+        for checker, oracle in ORACLES:
+            got = checker(ll)
+            if checker is not lemma1_refutes:
+                assert (got.witness is None) == got.holds
+                got = got.witness
+            assert got == oracle(n, rel, jt, mt), (checker.__name__, ll.encoding())
+            failing[checker.__name__] += got is not None
+    assert all(0 < k < len(instances) for k in failing.values()), failing

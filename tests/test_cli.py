@@ -84,6 +84,14 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_non_utf8_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "binary.poset"
+    path.write_bytes(b"\xff\xfe bad\n")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8 text" in err
+
+
 def test_verify_clean(capsys):
     assert main(["verify", "TH1", "--max-n", "3"]) == 0
     out = capsys.readouterr().out

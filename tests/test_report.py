@@ -1,4 +1,18 @@
-from lamlat import AcuteClause, build_report
+import json
+
+import pytest
+
+from lamlat import (
+    AcuteCharacterization,
+    AcuteClause,
+    AxiomReport,
+    ChainSummary,
+    PropertyReport,
+    Verdict,
+    acute_characterization,
+    build_report,
+    mk_poset,
+)
 from lamlat.fixtures import FIXTURE_NAMES, fixture
 from lamlat.report import ReportDocument
 
@@ -28,8 +42,58 @@ def test_roundtrip_every_fixture():
 
 
 def test_dict_encoding_is_json_friendly():
-    import json
-
     doc = build_report("FIG3", fixture("FIG3"))
     blob = json.dumps(doc.to_dict(), sort_keys=True)
     assert ReportDocument.from_dict(json.loads(blob)) == doc
+
+
+# ----- the dict codec shared by the report records -----
+
+def _records():
+    doc = build_report("FIG5", fixture("FIG5"))
+    mk = acute_characterization(mk_poset(3))
+    return [
+        doc, doc.axioms, doc.properties, doc.chain_summary, doc.acute, mk,
+        Verdict(False, (2, 0, 1), "h(a)=1"), Verdict(True, note="finite carrier"),
+    ]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_every_record_roundtrips_through_json(record):
+    assert type(record).from_dict(json.loads(json.dumps(record.to_dict()))) == record
+
+
+def test_record_encoding():
+    assert Verdict(False, (2, 0, 1), "x").to_dict() == {
+        "holds": False, "witness": [2, 0, 1], "note": "x",
+    }
+    mk = acute_characterization(mk_poset(3))
+    assert mk.to_dict() == {
+        "clause": "antichain-between-bounds", "k": 3, "atoms": [1, 2, 3], "coatoms": [1, 2, 3],
+    }
+    cs = ChainSummary(False, 2, (3, 4))
+    assert cs.to_dict() == {
+        "equal_length_from_every_element": False, "count_from_bottom": 2,
+        "lengths_from_bottom": [3, 4],
+    }
+    d = build_report("FIG5", fixture("FIG5")).to_dict()
+    assert isinstance(d["axioms"]["absorption"], dict) and isinstance(d["labels"], list)
+    assert set(d["properties"]) == set(PropertyReport.__dataclass_fields__)
+
+
+def test_from_dict_fills_missing_optional_keys():
+    assert Verdict.from_dict({"holds": True}) == Verdict(True)
+    assert Verdict.from_dict({"holds": False, "witness": [0, 1]}) == Verdict(False, (0, 1))
+    assert AcuteCharacterization.from_dict(
+        {"clause": "fails", "atoms": [2, 1], "coatoms": [3]}
+    ) == AcuteCharacterization(AcuteClause.FAILS, None, frozenset({1, 2}), frozenset({3}))
+    full = build_report("FIG3", fixture("FIG3"))
+    d = full.to_dict()
+    for key in ("heights", "chain_summary", "acute"):
+        del d[key]
+    for v in d["axioms"].values():
+        del v["witness"], v["note"]
+    doc = ReportDocument.from_dict(d)
+    assert doc.heights is doc.chain_summary is doc.acute is None
+    assert doc.axioms == AxiomReport(Verdict(True), Verdict(True), Verdict(True))
+    assert doc.properties == full.properties

@@ -1,0 +1,51 @@
+"""The benchmark tracer (bench/tracing.py) rebinds lamlat's module and class
+attributes to timing wrappers. lamlat must keep calling through those
+attributes, traced runs must give the untraced results, and restore()
+must put every attribute back."""
+
+import importlib.util
+from pathlib import Path
+
+from lamlat import checkers, instances, lattice, poset, search
+from lamlat.search import EnumerationFilter
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+OWNERS = (search, checkers, lattice, poset, instances, poset.Poset, search.Counterexample)
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _attributes():
+    return [dict(vars(owner)) for owner in OWNERS] + [dict(search.THEOREMS)]
+
+
+def _outcome(result):
+    d = result.to_dict()
+    del d["elapsed_seconds"]
+    return d, result.all_counterexamples
+
+
+def test_traced_runs_match_untraced_and_restore_undoes_every_rebinding():
+    tracing = _load_tracing()
+    flt = EnumerationFilter(max_elements=4)
+    plain = {tid: _outcome(search.verify(tid, flt)) for tid in ("TH1", "LEM1")}
+    before = _attributes()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer, (search, checkers, lattice, poset, instances))
+    try:
+        assert _attributes() != before
+        traced = {tid: _outcome(search.verify(tid, flt)) for tid in plain}
+    finally:
+        restore()
+    assert traced == plain
+    assert _attributes() == before
+    spans = tracing.totals(tracer)["spans"]
+    for name in ("search.verify", "search.enumerate_posets", "search.enumerate_completions",
+                 "checkers.is_semimodular", "checkers.cond3", "checkers.satisfies_wlcc",
+                 "checkers.lemma1_refutes"):
+        assert spans[name][2] > 0, name
