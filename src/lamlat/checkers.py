@@ -1,8 +1,11 @@
 """Decision procedures: semimodularity, covering conditions, heights, acute classification.
 
-Everything is definition-literal brute force over pairs/triples; at the
-intended sizes (n around a dozen) clarity beats cleverness, and the scans
-double as oracles for one another.
+Comparable-cell rule: a lambda-lattice holds max and min on every
+comparable pair, so on those cells each condition here holds from the
+order alone. The checkers therefore scan only pairs (x, y) with y in the
+incomparable mask of x, in ascending order, so the first failure found is
+still the least witness. Where the premise is not itself x || y, the
+docstring gives the reason the comparable cells are safe to skip.
 """
 
 from dataclasses import dataclass
@@ -20,16 +23,14 @@ def _semimodular_frames(ll: LambdaLattice):
     between is the mask of those z; ucands are the u with x^y < u <= y.
     """
     p = ll.poset
-    up, down = p._up, p._down
+    up, down, inc = p._up, p._down, p._incomparable
     mt = ll.meet_table
     for x in range(p.n):
-        for y in range(p.n):
-            if up[x] >> y & 1 or up[y] >> x & 1:
-                continue
+        for y in _bits(inc[x]):
             m = mt[x][y]
             between = up[m] & down[x] & ~(1 << m) & ~(1 << x)
             if between:
-                yield x, y, between, tuple(_bits(up[m] & down[y] & ~(1 << m)))
+                yield x, y, between, _bits(up[m] & down[y] & ~(1 << m))
 
 
 def is_semimodular(ll: LambdaLattice) -> Verdict:
@@ -57,7 +58,7 @@ def lemma1_refutes(ll: LambdaLattice) -> tuple[int, int, int, int] | None:
     for x, y, between, es in _semimodular_frames(ll):
         if between.bit_count() < 2:
             continue
-        cs = tuple(_bits(between))
+        cs = _bits(between)
         for c in cs:
             joins_c = {jt[c][e] for e in es}
             if len(joins_c) != 1:
@@ -71,12 +72,15 @@ def lemma1_refutes(ll: LambdaLattice) -> tuple[int, int, int, int] | None:
 
 
 def _lower_covering(ll: LambdaLattice, guard) -> Verdict:
-    """x^y -< x with x v y in the mask guard[x] forces y -< x v y."""
+    """x^y -< x with x v y in the mask guard[x] forces y -< x v y.
+
+    Only x || y can fail: x <= y has meet x, not covered by x; y < x has y -< x v y = x.
+    """
     p = ll.poset
-    cov = p._covers_above
+    cov, inc = p._covers_above, p._incomparable
     jt, mt = ll.join_table, ll.meet_table
     for x in range(p.n):
-        for y in range(p.n):
+        for y in _bits(inc[x]):
             j = jt[x][y]
             if cov[mt[x][y]] >> x & 1 and not cov[y] >> j & 1 and guard[x] >> j & 1:
                 return Verdict(False, (x, y))
@@ -96,15 +100,11 @@ def satisfies_lcc(ll: LambdaLattice) -> Verdict:
 def _meet_steps(ll: LambdaLattice, steps) -> Verdict:
     """x || y, x || z and z in the mask steps[y] force x ^ y <= x ^ z."""
     p = ll.poset
-    up = p._up
+    up, inc = p._up, p._incomparable
     mt = ll.meet_table
     for x in range(p.n):
-        for y in range(p.n):
-            if up[x] >> y & 1 or up[y] >> x & 1:
-                continue
-            for z in _bits(steps[y] & ~(1 << y)):
-                if up[x] >> z & 1 or up[z] >> x & 1:
-                    continue
+        for y in _bits(inc[x]):
+            for z in _bits(steps[y] & inc[x] & ~(1 << y)):
                 if not up[mt[x][y]] >> mt[x][z] & 1:
                     return Verdict(False, (x, y, z))
     return Verdict(True)
@@ -123,15 +123,13 @@ def cond4(ll: LambdaLattice) -> Verdict:
 def cond5(ll: LambdaLattice) -> Verdict:
     """x || y, x < z and y -< z force z not strictly below x v y."""
     p = ll.poset
-    up, cov = p._up, p._covers_above
+    up, cov, inc = p._up, p._covers_above, p._incomparable
     jt = ll.join_table
     for x in range(p.n):
-        for y in range(p.n):
-            if up[x] >> y & 1 or up[y] >> x & 1:
-                continue
+        for y in _bits(inc[x]):
             j = jt[x][y]
-            for z in _bits(up[x] & ~(1 << x)):
-                if cov[y] >> z & 1 and z != j and up[z] >> j & 1:
+            for z in _bits(up[x] & cov[y]):
+                if z != j and up[z] >> j & 1:
                     return Verdict(False, (x, y, z))
     return Verdict(True)
 
@@ -145,19 +143,19 @@ def height_inequality(ll: LambdaLattice) -> Verdict:
     """h(a v b) - h(a ^ b) <= |h(a) - h(b)| + 2 on qualifying pairs.
 
     A pair qualifies when a, b are comparable or a ^ b is covered by a
-    or by b. The note of a failing verdict records the four heights.
+    or by b. Only a || b can fail: comparable pairs give h(a v b) - h(a ^ b) = |h(a) - h(b)|.
+    The note of a failing verdict records the four heights.
     """
     p = ll.poset
     if p.bounds() is None:
         raise UnboundedError("the height inequality needs a bounded instance")
     h = p.heights
-    up, cov = p._up, p._covers_above
+    cov, inc = p._covers_above, p._incomparable
     jt, mt = ll.join_table, ll.meet_table
     for a in range(p.n):
-        for b in range(p.n):
+        for b in _bits(inc[a]):
             m = mt[a][b]
-            comparable = up[a] >> b & 1 or up[b] >> a & 1
-            if not (comparable or cov[m] >> a & 1 or cov[m] >> b & 1):
+            if not (cov[m] >> a & 1 or cov[m] >> b & 1):
                 continue
             j = jt[a][b]
             if h[j] - h[m] > abs(h[a] - h[b]) + 2:
@@ -169,13 +167,16 @@ def height_inequality(ll: LambdaLattice) -> Verdict:
 
 
 def monotone_wedge(ll: LambdaLattice) -> Verdict:
-    """Monotonicity of meet alone: x <= y forces x ^ z <= y ^ z."""
+    """Monotonicity of meet alone: x <= y forces x ^ z <= y ^ z.
+
+    Only z incomparable to x or to y can fail: meets within a chain are minima.
+    """
     p = ll.poset
-    up = p._up
+    up, inc = p._up, p._incomparable
     mt = ll.meet_table
     for x in range(p.n):
-        for y in _bits(up[x]):
-            for z in range(p.n):
+        for y in _bits(up[x] & ~(1 << x)):
+            for z in _bits(inc[x] | inc[y]):
                 if not up[mt[x][z]] >> mt[y][z] & 1:
                     return Verdict(False, (x, y, z))
     return Verdict(True)

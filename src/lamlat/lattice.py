@@ -195,10 +195,10 @@ class LambdaLattice:
                 if self.join_table[x][y] not in pos or self.meet_table[x][y] not in pos:
                     raise ValueError("subset is not closed under the operations")
         sub = self.poset.restrict(elems)
-        k = len(elems)
-        jt = [[pos[self.join_table[elems[i]][elems[j]]] for j in range(k)] for i in range(k)]
-        mt = [[pos[self.meet_table[elems[i]][elems[j]]] for j in range(k)] for i in range(k)]
-        return LambdaLattice(sub, jt, mt)
+        # a closed subset keeps the table contract, so no validation is needed
+        jt = tuple(tuple(pos[self.join_table[x][y]] for y in elems) for x in elems)
+        mt = tuple(tuple(pos[self.meet_table[x][y]] for y in elems) for x in elems)
+        return LambdaLattice._from_tables(sub, jt, mt)
 
     def relabel(self, perm: Sequence[int]) -> "LambdaLattice":
         n = self.n
@@ -295,9 +295,12 @@ def _check_bound(p: Poset, op: str, x: int, y: int, v) -> None:
 
 def _base_rows(p: Poset) -> tuple[list[list[int]], list[list[int]]]:
     """Join and meet rows with max and min on comparable pairs, 0 on incomparable ones."""
-    up, n = p._up, p.n
-    jt = [[y if up[x] >> y & 1 else x if up[y] >> x & 1 else 0 for y in range(n)] for x in range(n)]
-    mt = [[x if up[x] >> y & 1 else y if up[y] >> x & 1 else 0 for y in range(n)] for x in range(n)]
+    n = p.n
+    jt, mt = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in _bits(p._up[x]):
+            jt[x][y] = jt[y][x] = y
+            mt[x][y] = mt[y][x] = x
     return jt, mt
 
 
@@ -373,13 +376,16 @@ def is_lattice(ll: LambdaLattice) -> bool:
 
 
 def is_monotone(ll: LambdaLattice) -> bool:
-    """x <= y forces x v z <= y v z and x ^ z <= y ^ z for every z."""
+    """x <= y forces x v z <= y v z and x ^ z <= y ^ z for every z.
+
+    Only z incomparable to x or to y can fail: a chain's joins and meets are max and min.
+    """
     p = ll.poset
-    up = p._up
+    up, inc = p._up, p._incomparable
     jt, mt = ll.join_table, ll.meet_table
     for x in range(p.n):
-        for y in _bits(up[x]):
-            for z in range(p.n):
+        for y in _bits(up[x] & ~(1 << x)):
+            for z in _bits(inc[x] | inc[y]):
                 if not up[jt[x][z]] >> jt[y][z] & 1:
                     return False
                 if not up[mt[x][z]] >> mt[y][z] & 1:
@@ -388,24 +394,32 @@ def is_monotone(ll: LambdaLattice) -> bool:
 
 
 def is_modular(ll: LambdaLattice) -> bool:
-    """x <= z forces x v (y ^ z) = (x v y) ^ z for every y."""
+    """x <= z forces x v (y ^ z) = (x v y) ^ z for every y.
+
+    Only y incomparable to x or to z can fail: a chain is modular.
+    """
     p = ll.poset
+    inc = p._incomparable
     jt, mt = ll.join_table, ll.meet_table
     for x in range(p.n):
         for z in _bits(p._up[x]):
-            for y in range(p.n):
+            for y in _bits(inc[x] | inc[z]):
                 if jt[x][mt[y][z]] != mt[jt[x][y]][z]:
                     return False
     return True
 
 
 def is_distributive(ll: LambdaLattice) -> bool:
-    """Both distributive laws over all triples."""
+    """Both distributive laws over all triples.
+
+    Triples forming a chain are skipped: a chain is distributive.
+    """
     n = ll.n
+    inc = ll.poset._incomparable
     jt, mt = ll.join_table, ll.meet_table
     for x in range(n):
         for y in range(n):
-            for z in range(n):
+            for z in range(n) if inc[x] >> y & 1 else _bits(inc[x] | inc[y]):
                 if mt[x][jt[y][z]] != jt[mt[x][y]][mt[x][z]]:
                     return False
                 if jt[x][mt[y][z]] != mt[jt[x][y]][jt[x][z]]:
@@ -422,7 +436,7 @@ def convex_closed_subsets(ll: LambdaLattice) -> Iterator[frozenset[int]]:
     p = ll.poset
     jt, mt = ll.join_table, ll.meet_table
     for mask in range(1, 1 << p.n):
-        elems = tuple(_bits(mask))
+        elems = _bits(mask)
         closed = all(
             mask >> jt[x][y] & 1 and mask >> mt[x][y] & 1
             for i, x in enumerate(elems)

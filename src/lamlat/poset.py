@@ -9,12 +9,16 @@ from .errors import CycleError, InvalidOrderError, NoTopError, RangeError, Unbou
 from .verdict import Verdict
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _bits_of(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+_BYTE_BITS = tuple(_bits_of(m) for m in range(256))
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of set bits, ascending; masks below 256 come from a table."""
+    return _BYTE_BITS[mask] if mask < 256 else _bits_of(mask)
 
 
 def _check_index(n: int, x) -> None:
@@ -238,11 +242,11 @@ class Poset:
 
     def covers_above(self, x: int) -> tuple[int, ...]:
         _check_index(self.n, x)
-        return tuple(_bits(self._covers_above[x]))
+        return _bits(self._covers_above[x])
 
     def covers_below(self, x: int) -> tuple[int, ...]:
         _check_index(self.n, x)
-        return tuple(_bits(self._covers_below[x]))
+        return _bits(self._covers_below[x])
 
     def is_cover(self, x: int, y: int) -> bool:
         """True iff y covers x."""
@@ -296,15 +300,16 @@ class Poset:
     # ----- structural predicates -----
 
     def has_lu_covering(self) -> Verdict:
-        """Whenever x is covered by incomparable y and z, some u covers both."""
+        """Whenever x is covered by incomparable y and z, some u covers both.
+
+        Distinct covers of x are incomparable: y < z would put y between x and z.
+        """
         above = self._covers_above
         for x in range(self.n):
-            ys = tuple(_bits(above[x]))
+            ys = _bits(above[x])
             for y in ys:
                 for z in ys:
-                    if y == z or not self.incomparable(y, z):
-                        continue
-                    if not above[y] & above[z]:
+                    if y != z and not above[y] & above[z]:
                         return Verdict(False, (x, y, z))
         return Verdict(True)
 
@@ -325,14 +330,16 @@ class Poset:
         return True
 
     @cached_property
+    def _incomparable(self) -> tuple[int, ...]:
+        # per element: the mask of elements incomparable to it
+        full = (1 << self.n) - 1
+        return tuple(full & ~(u | d) for u, d in zip(self._up, self._down))
+
+    @cached_property
     def incomparable_pairs(self) -> tuple[tuple[int, int], ...]:
         """Pairs (x, y) with x < y as indices and x, y order-incomparable."""
-        return tuple(
-            (x, y)
-            for x in range(self.n)
-            for y in range(x + 1, self.n)
-            if not (self._up[x] >> y & 1) and not (self._up[y] >> x & 1)
-        )
+        inc = self._incomparable
+        return tuple((x, y) for x in range(self.n) for y in _bits(inc[x]) if x < y)
 
     @cached_property
     def _least_bounds(self) -> tuple[tuple[int | None, int | None], ...]:

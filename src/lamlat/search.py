@@ -9,6 +9,7 @@ a proof of the general case; results say so explicitly.
 import time
 from dataclasses import dataclass, replace
 from itertools import product
+from math import prod
 from typing import Callable, Iterator
 
 from . import checkers
@@ -16,7 +17,6 @@ from .errors import ArgumentError, BudgetError, NotDirectedError, UnknownTheorem
 from .lattice import (
     LambdaLattice,
     _base_rows,
-    _check_bound,
     _frozen,
     acute,
     convex_closed_subsets,
@@ -162,29 +162,27 @@ def enumerate_completions(
 
     The stream is the Cartesian product over incomparable pairs of all
     common upper bounds times all common lower bounds, in sorted pair
-    and bound order. The budget is decided from completion_count before
-    anything is built: BudgetError when the product exceeds it (None
-    means no limit); it never samples. Options are checked against the
-    order once per poset, so each completion only writes its choices
-    into the comparable-pair base tables and is built trusted.
+    and bound order; a pair with no common upper or lower bound raises
+    NotDirectedError. The budget is decided before anything is built:
+    BudgetError when the product exceeds it (None means no limit); it
+    never samples. Comparable cells take max and min once per poset; each
+    completion writes only its incomparable cells, whose options are bits
+    of the bound masks and so legal by construction, and is built trusted.
     """
-    if not p.is_directed():
-        raise NotDirectedError("completions need a directed poset")
-    if budget is not None:
-        total = completion_count(p)
-        if total > budget:
-            raise BudgetError(
-                f"{total} completions exceed the budget of {budget}", required=total
-            )
     up, down = p._up, p._down
     pairs = p.incomparable_pairs
     options = []
     for x, y in pairs:
-        ups, downs = tuple(_bits(up[x] & up[y])), tuple(_bits(down[x] & down[y]))
-        for op, bounds in (("join", ups), ("meet", downs)):
-            for v in bounds:
-                _check_bound(p, op, x, y, v)
+        ups, downs = _bits(up[x] & up[y]), _bits(down[x] & down[y])
+        if not (ups and downs):
+            raise NotDirectedError("completions need a directed poset")
         options.append([(u, l) for u in ups for l in downs])
+    if budget is not None:
+        total = prod(map(len, options))
+        if total > budget:
+            raise BudgetError(
+                f"{total} completions exceed the budget of {budget}", required=total
+            )
     jt, mt = _base_rows(p)
     for combo in product(*options):
         for (x, y), (u, l) in zip(pairs, combo):
@@ -246,14 +244,8 @@ def _concl_equal_chain_lengths(p) -> Verdict:
 
 
 def _acute_condition_ii(p: Poset) -> bool:
-    atoms = p.atoms()
-    coatoms = p.coatoms()
-    return all(
-        y in coatoms
-        for x in atoms
-        for y in range(p.n)
-        if p.incomparable(x, y)
-    )
+    atoms, coatoms = p.atoms(), p.coatoms()
+    return all(y in coatoms for x in atoms for y in _bits(p._incomparable[x]))
 
 
 def _concl_acute_equivalence(p) -> Verdict:
@@ -284,10 +276,11 @@ def _concl_monotone_iff_lattice(ll) -> Verdict:
 
 
 def _concl_modular_implies_lattice(ll) -> Verdict:
-    lat = is_lattice(ll)
-    if is_modular(ll) and not lat:
+    if is_lattice(ll):
+        return Verdict(True)
+    if is_modular(ll):
         return Verdict(False, (), "modular without being a lattice")
-    if is_distributive(ll) and not lat:
+    if is_distributive(ll):
         return Verdict(False, (), "distributive without being a lattice")
     return Verdict(True)
 

@@ -17,6 +17,15 @@ def small_completions():
     return out
 
 
+@pytest.fixture(scope="session")
+def completions_upto5():
+    """Every completion of every bounded poset with at most 5 elements, in stream order."""
+    out = [ll for p in enumerate_posets(EnumerationFilter(max_elements=5, require_bounded=True))
+           for ll in enumerate_completions(p)]
+    assert len(out) == 545
+    return out
+
+
 def idx(instance, name):
     """Element index by display label."""
     return instance.labels.index(name)

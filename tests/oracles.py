@@ -225,3 +225,89 @@ def lcc_witness(n, rel, join, meet):
             if (meet[x][y], x) in cov and (y, join[x][y]) not in cov:
                 return (x, y)
     return None
+
+
+def cond5_witness(n, rel, join, meet):
+    """x || y, x < z and y -< z with z strictly below x v y."""
+    cov = cover_relation(n, rel)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if (_incomparable(rel, x, y) and _lt(rel, x, z) and (y, z) in cov
+                        and _lt(rel, z, join[x][y])):
+                    return (x, y, z)
+    return None
+
+
+def _heights(n, rel):
+    """Longest cover path from the least element to each element, in steps."""
+    cov = cover_relation(n, rel)
+    memo = {}
+
+    def h(x):
+        if x not in memo:
+            memo[x] = max((h(w) + 1 for w in range(n) if (w, x) in cov), default=0)
+        return memo[x]
+
+    return [h(x) for x in range(n)]
+
+
+def height_witness(n, rel, join, meet):
+    """Pair (a, b), comparable or with a ^ b covered by a or b, on which
+    h(a v b) - h(a ^ b) exceeds |h(a) - h(b)| + 2."""
+    cov = cover_relation(n, rel)
+    h = _heights(n, rel)
+    for a in range(n):
+        for b in range(n):
+            m, j = meet[a][b], join[a][b]
+            qualifies = not _incomparable(rel, a, b) or (m, a) in cov or (m, b) in cov
+            if qualifies and h[j] - h[m] > abs(h[a] - h[b]) + 2:
+                return (a, b)
+    return None
+
+
+def monotone_wedge_witness(n, rel, join, meet):
+    """x <= y with x ^ z not below y ^ z."""
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if (x, y) in rel and (meet[x][z], meet[y][z]) not in rel:
+                    return (x, y, z)
+    return None
+
+
+def is_monotone_naive(n, rel, join, meet):
+    """x <= y forces x v z <= y v z and x ^ z <= y ^ z for every z."""
+    return all(
+        (join[x][z], join[y][z]) in rel and (meet[x][z], meet[y][z]) in rel
+        for x in range(n) for y in range(n) for z in range(n) if (x, y) in rel
+    )
+
+
+def is_modular_naive(n, rel, join, meet):
+    """x <= z forces x v (y ^ z) = (x v y) ^ z for every y."""
+    return all(
+        join[x][meet[y][z]] == meet[join[x][y]][z]
+        for x in range(n) for y in range(n) for z in range(n) if (x, z) in rel
+    )
+
+
+def is_distributive_naive(n, rel, join, meet):
+    """Both distributive laws over every triple."""
+    return all(
+        meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+        and join[x][meet[y][z]] == meet[join[x][y]][join[x][z]]
+        for x in range(n) for y in range(n) for z in range(n)
+    )
+
+
+def lu_covering_witness(n, rel):
+    """x covered by incomparable y and z with no element covering both."""
+    cov = cover_relation(n, rel)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if ((x, y) in cov and (x, z) in cov and _incomparable(rel, y, z)
+                        and not any((y, u) in cov and (z, u) in cov for u in range(n))):
+                    return (x, y, z)
+    return None

@@ -4,6 +4,7 @@ from lamlat import (
     AcuteClause,
     Poset,
     UnboundedError,
+    Verdict,
     acute,
     acute_characterization,
     classify,
@@ -13,6 +14,9 @@ from lamlat import (
     dcc,
     from_choice,
     height_inequality,
+    is_distributive,
+    is_modular,
+    is_monotone,
     is_semimodular,
     lemma1_refutes,
     mk_isomorphic,
@@ -22,12 +26,17 @@ from lamlat import (
     satisfies_wlcc,
 )
 from lamlat.fixtures import fixture, fixture_poset
-from lamlat.search import EnumerationFilter, enumerate_completions, enumerate_posets
 from oracles import (
     cond3_witness,
     cond4_witness,
+    cond5_witness,
+    height_witness,
+    is_distributive_naive,
+    is_modular_naive,
+    is_monotone_naive,
     lcc_witness,
     lemma1_quadruple,
+    monotone_wedge_witness,
     relation_from_covers,
     semimodular_witness,
     wlcc_witness,
@@ -256,17 +265,21 @@ ORACLES = (
     (cond4, cond4_witness),
     (satisfies_wlcc, wlcc_witness),
     (satisfies_lcc, lcc_witness),
+    (cond5, cond5_witness),
+    (height_inequality, height_witness),
+    (monotone_wedge, monotone_wedge_witness),
+    (is_monotone, is_monotone_naive),
+    (is_modular, is_modular_naive),
+    (is_distributive, is_distributive_naive),
 )
 
 
-def test_checkers_match_oracles_on_small_completions_and_fixtures(fixtures):
-    # verdict and least witness of each checker on every completion at n <= 5;
-    # cond3, cond4 and lemma1_refutes never fail there, so the fixtures (FIG2,
-    # FIG4, FIG5) supply their failing direction
-    small = [ll for p in enumerate_posets(EnumerationFilter(max_elements=5, require_bounded=True))
-             for ll in enumerate_completions(p)]
-    assert len(small) == 545
-    instances = small + list(fixtures.values())
+def test_checkers_match_oracles_on_small_completions_and_fixtures(fixtures, completions_upto5):
+    # verdict and least witness of each checker (truth value of each lattice
+    # predicate) on every completion at n <= 5; the oracles scan every cell,
+    # comparable ones included; cond3, cond4 and lemma1_refutes never fail
+    # there, so the fixtures (FIG2, FIG4, FIG5) supply their failing direction
+    instances = completions_upto5 + list(fixtures.values())
     failing = {checker.__name__: 0 for checker, _ in ORACLES}
     for ll in instances:
         n = ll.n
@@ -274,9 +287,9 @@ def test_checkers_match_oracles_on_small_completions_and_fixtures(fixtures):
         jt, mt = [list(r) for r in ll.join_table], [list(r) for r in ll.meet_table]
         for checker, oracle in ORACLES:
             got = checker(ll)
-            if checker is not lemma1_refutes:
+            if isinstance(got, Verdict):
                 assert (got.witness is None) == got.holds
                 got = got.witness
             assert got == oracle(n, rel, jt, mt), (checker.__name__, ll.encoding())
-            failing[checker.__name__] += got is not None
+            failing[checker.__name__] += got not in (None, True)  # a witness, or False
     assert all(0 < k < len(instances) for k in failing.values()), failing

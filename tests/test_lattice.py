@@ -15,7 +15,6 @@ from lamlat import (
     acute,
     check_axioms,
     convex_closed_subsets,
-    enumerate_completions,
     enumerate_posets,
     from_choice,
     idempotency_holds,
@@ -170,13 +169,11 @@ def test_is_lattice_matches_oracle_on_fixtures(fixtures):
         assert is_lattice(ll) == _is_lattice_oracle(ll), name
 
 
-def test_is_lattice_matches_oracle_on_small_completions():
+def test_is_lattice_matches_oracle_on_small_completions(completions_upto5):
     verdicts = []
-    for p in enumerate_posets(EnumerationFilter(max_elements=5, require_bounded=True)):
-        for ll in enumerate_completions(p):
-            verdicts.append(is_lattice(ll))
-            assert verdicts[-1] == _is_lattice_oracle(ll), ll.encoding()
-    assert len(verdicts) == 545
+    for ll in completions_upto5:
+        verdicts.append(is_lattice(ll))
+        assert verdicts[-1] == _is_lattice_oracle(ll), ll.encoding()
     assert 0 < verdicts.count(True) < len(verdicts)
 
 
@@ -213,6 +210,21 @@ def test_convex_closed_restriction_is_lambda_lattice():
     sub = ll.restrict({0, 1, 2, 4})
     assert sub.n == 4
     assert check_axioms(sub.join_table, sub.meet_table).all_pass
+
+
+def test_restrict_matches_validated_construction(completions_upto5):
+    # restrict builds trusted tables; the validating constructor must accept
+    # them and give the same instance on every convex closed subset
+    subsets = 0
+    for ll in completions_upto5:
+        for s in convex_closed_subsets(ll):
+            elems = sorted(s)
+            jt = [[elems.index(ll.join_table[x][y]) for y in elems] for x in elems]
+            mt = [[elems.index(ll.meet_table[x][y]) for y in elems] for x in elems]
+            expected = LambdaLattice(ll.poset.restrict(elems), jt, mt)
+            assert ll.restrict(s) == expected, (ll.encoding(), elems)
+            subsets += 1
+    assert subsets > len(completions_upto5)
 
 
 def test_restrict_requires_closure():

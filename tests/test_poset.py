@@ -5,16 +5,26 @@ from hypothesis import strategies as st
 from lamlat import (
     Chain,
     CycleError,
+    EnumerationFilter,
     InvalidOrderError,
     NoTopError,
     Poset,
     RangeError,
     UnboundedError,
+    enumerate_posets,
     mk_poset,
 )
 from lamlat.fixtures import fixture_poset
+from lamlat.poset import _bits
 
-from oracles import cover_paths, oracle_height, oracle_lower_bounds, oracle_upper_bounds
+from oracles import (
+    cover_paths,
+    lu_covering_witness,
+    oracle_height,
+    oracle_lower_bounds,
+    oracle_upper_bounds,
+    relation_from_covers,
+)
 
 FIG2_COVERS = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5), (4, 6), (5, 6)]
 
@@ -175,6 +185,29 @@ def test_lu_covering_monotone_under_deletion():
     v = p.has_lu_covering()
     assert not v.holds
     assert v.witness == (1, 4, 5)
+
+
+def test_lu_covering_matches_oracle_on_all_posets_up_to_5():
+    posets = failing = 0
+    for p in enumerate_posets(EnumerationFilter(max_elements=5)):
+        v = p.has_lu_covering()
+        assert (v.witness is None) == v.holds
+        assert v.witness == lu_covering_witness(p.n, relation_from_covers(p.n, p.covers)), p
+        posets += 1
+        failing += not v.holds
+    assert posets == 4473
+    assert 0 < failing < posets
+
+
+def test_bits_matches_bit_loop_across_table_boundary():
+    def bit_loop(mask):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    for m in range(1024):
+        assert _bits(m) == tuple(bit_loop(m)), m
 
 
 def test_convexity_fig2():

@@ -184,6 +184,19 @@ def test_completions_need_directed():
         list(enumerate_completions(Poset([[1, 0], [0, 1]])))
 
 
+@pytest.mark.parametrize("budget", [1, None])
+@pytest.mark.parametrize("side", ["join", "meet"])
+def test_not_directed_is_reported_before_the_budget(side, budget):
+    # 0 < 1, 2 < 3, 4 (or its dual): the pair (1, 2) has two joins (meets),
+    # which exceeds a budget of 1, but the later pair (3, 4) has no upper
+    # (lower) bound at all
+    covers = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
+    p = Poset.from_covers(5, covers if side == "join" else [(b, a) for a, b in covers])
+    assert p.incomparable_pairs == ((1, 2), (3, 4))
+    with pytest.raises(NotDirectedError):
+        list(enumerate_completions(p, budget))
+
+
 def test_all_small_completions_pass_axioms(small_completions):
     for ll in small_completions:
         assert check_axioms(ll.join_table, ll.meet_table).all_pass
