@@ -1,0 +1,7 @@
+"""`python -m lamlat`: the lamlat command line, with its exit codes."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

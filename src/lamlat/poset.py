@@ -1,12 +1,23 @@
 """Finite posets: order matrices, covers, bounds, heights, chains, convexity."""
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import permutations
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CycleError, InvalidOrderError, NoTopError, RangeError, UnboundedError
 from .verdict import Verdict
+
+
+class _cached(cached_property):
+    """functools.cached_property without the lock Python < 3.12 takes on first access."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.attrname] = self.func(obj)
+        return value
 
 
 def _bits_of(mask: int) -> tuple[int, ...]:
@@ -117,16 +128,10 @@ class Poset:
             if a == b:
                 raise CycleError(f"self-cover on element {a}")
             up[a] |= 1 << b
-        changed = True
-        while changed:
-            changed = False
+        for k in range(n):  # Warshall's closure, one bitmask row at a time
             for i in range(n):
-                acc = up[i]
-                for j in _bits(acc & ~(1 << i)):
-                    acc |= up[j]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
         for i in range(n):
             for j in _bits(up[i] & ~(1 << i)):
                 if up[j] >> i & 1:
@@ -149,7 +154,7 @@ class Poset:
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels is not None else str(x)
 
-    @cached_property
+    @_cached
     def _down(self) -> tuple[int, ...]:
         down = [0] * self.n
         for i, row in enumerate(self._up):
@@ -188,21 +193,16 @@ class Poset:
             for j in range(i + 1, self.n)
         )
 
-    @cached_property
+    @_cached
     def bottom(self) -> int | None:
         full = (1 << self.n) - 1
-        for i, row in enumerate(self._up):
-            if row == full:
-                return i
-        return None
+        return self._up.index(full) if full in self._up else None
 
-    @cached_property
+    @_cached
     def top(self) -> int | None:
-        full = (1 << self.n) - 1
-        for i, row in enumerate(self._down):
-            if row == full:
-                return i
-        return None
+        """The greatest element: the one bit of the AND of the up-set rows, if any."""
+        common = reduce(and_, self._up)
+        return common.bit_length() - 1 if common else None
 
     def bounds(self) -> tuple[int, int] | None:
         """(bottom, top) when both exist, else None."""
@@ -212,20 +212,19 @@ class Poset:
 
     # ----- covers -----
 
-    @cached_property
+    @_cached
     def _covers_above(self) -> tuple[int, ...]:
-        # y covers x iff x < y with nothing strictly between
+        # the covers of x: its strict up-set minus everything strictly above a member
+        strict = [row & ~(1 << x) for x, row in enumerate(self._up)]
         out = []
-        for x in range(self.n):
-            strict_up = self._up[x] & ~(1 << x)
-            mask = 0
-            for y in _bits(strict_up):
-                if not strict_up & self._down[y] & ~(1 << y):
-                    mask |= 1 << y
-            out.append(mask)
+        for s in strict:
+            higher = 0
+            for z in _bits(s):
+                higher |= strict[z]
+            out.append(s & ~higher)
         return tuple(out)
 
-    @cached_property
+    @_cached
     def _covers_below(self) -> tuple[int, ...]:
         below = [0] * self.n
         for x in range(self.n):
@@ -233,7 +232,7 @@ class Poset:
                 below[y] |= 1 << x
         return tuple(below)
 
-    @cached_property
+    @_cached
     def covers(self) -> tuple[tuple[int, int], ...]:
         """All covering pairs (x, y) with y covering x, lexicographic."""
         return tuple(
@@ -256,7 +255,7 @@ class Poset:
 
     # ----- heights and chains -----
 
-    @cached_property
+    @_cached
     def heights(self) -> tuple[int, ...]:
         """h(x) for every x: length of a longest chain from the bottom to x."""
         if self.bottom is None:
@@ -281,21 +280,25 @@ class Poset:
         if self.top is None:
             raise NoTopError("poset has no top element")
         _check_index(self.n, a)
-        top = self.top
-        chains: list[Chain] = []
-        path = [a]
+        if a == self.top:
+            return [Chain((a,))]
+        return [Chain((a, *c.elements)) for w in _bits(self._covers_above[a])
+                for c in self.maximal_chains_to_top(w)]
 
-        def walk(v: int) -> None:
-            if v == top:
-                chains.append(Chain(tuple(path)))
-                return
-            for w in _bits(self._covers_above[v]):
-                path.append(w)
-                walk(w)
-                path.pop()
+    def chain_lengths_to_top(self) -> tuple[int, ...]:
+        """Per element, bit l set iff a saturated chain of length l runs from it to the top.
 
-        walk(a)
-        return chains
+        One pass by ascending up-set size: each element ORs its covers' masks shifted by one.
+        """
+        if self.top is None:
+            raise NoTopError("poset has no top element")
+        up, above = self._up, self._covers_above
+        lengths = [0] * self.n
+        lengths[self.top] = 1
+        for x in sorted(range(self.n), key=[row.bit_count() for row in up].__getitem__):
+            for w in _bits(above[x]):
+                lengths[x] |= lengths[w] << 1
+        return tuple(lengths)
 
     # ----- structural predicates -----
 
@@ -329,19 +332,19 @@ class Poset:
                     return False
         return True
 
-    @cached_property
+    @_cached
     def _incomparable(self) -> tuple[int, ...]:
         # per element: the mask of elements incomparable to it
         full = (1 << self.n) - 1
         return tuple(full & ~(u | d) for u, d in zip(self._up, self._down))
 
-    @cached_property
+    @_cached
     def incomparable_pairs(self) -> tuple[tuple[int, int], ...]:
         """Pairs (x, y) with x < y as indices and x, y order-incomparable."""
         inc = self._incomparable
         return tuple((x, y) for x in range(self.n) for y in _bits(inc[x]) if x < y)
 
-    @cached_property
+    @_cached
     def _least_bounds(self) -> tuple[tuple[int | None, int | None], ...]:
         # per incomparable pair: least upper and greatest lower bound, None where missing
         def least(b: int, masks: tuple[int, ...]) -> int | None:

@@ -9,6 +9,7 @@ from .checkers import (
     classify,
 )
 from .lattice import AxiomReport, LambdaLattice
+from .poset import _bits
 from .verdict import DictRecord
 
 
@@ -46,14 +47,11 @@ def build_report(name: str, ll: LambdaLattice) -> ReportDocument:
     heights = p.heights if p.bottom is not None else None
     chain_summary = None
     if p.bounds() is not None:
-        equal = all(
-            len({c.length for c in p.maximal_chains_to_top(a)}) == 1 for a in range(p.n)
-        )
-        from_bottom = p.maximal_chains_to_top(p.bottom)
+        lengths = p.chain_lengths_to_top()
         chain_summary = ChainSummary(
-            equal_length_from_every_element=equal,
-            count_from_bottom=len(from_bottom),
-            lengths_from_bottom=tuple(sorted({c.length for c in from_bottom})),
+            equal_length_from_every_element=all(m.bit_count() == 1 for m in lengths),
+            count_from_bottom=len(p.maximal_chains_to_top(p.bottom)),
+            lengths_from_bottom=_bits(lengths[p.bottom]),
         )
     acute_clause = acute_characterization(p) if p.bounds() is not None else None
     return ReportDocument(

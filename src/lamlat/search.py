@@ -8,7 +8,7 @@ a proof of the general case; results say so explicitly.
 
 import time
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import permutations, product
 from math import prod
 from typing import Callable, Iterator
 
@@ -56,9 +56,10 @@ class EnumerationFilter:
 #
 # Posets on 0..n-1 are built one element at a time: element k is attached
 # to a poset on 0..k-1 by choosing the set D of elements below it (a down
-# set) and the set U of elements above it (an up set) with D x U already
-# inside the order. Restriction to 0..k-1 inverts the step, so every
-# labeled poset is produced exactly once and no dedupe pass is needed.
+# set) and the set U of elements above it (an up set) with U inside the
+# common strict up-set of D, so D and U are disjoint and D x U is already
+# in the order. Restriction to 0..k-1 inverts the step, so every labeled
+# poset is produced exactly once and no dedupe pass is needed.
 
 _POSET_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}
 _BOUNDED_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}
@@ -66,32 +67,32 @@ _CACHE_LIMIT = 6  # n=7 streams are large; recompute instead of holding them
 
 
 def _extension_stream(n: int) -> Iterator[tuple[int, ...]]:
+    # a pending poset carries its down sets and up sets; with k added, a down
+    # set holding k must hold D and one without k must miss U (dually for up)
     if n == 0:
         yield ()
         return
-
-    def rec(k: int, up: list[int]) -> Iterator[tuple[int, ...]]:
-        if k == n:
-            yield tuple(up)
-            return
-        down = [0] * k
-        for i in range(k):
-            for j in _bits(up[i]):
-                down[j] |= 1 << i
-        downsets = [s for s in range(1 << k) if all(not down[i] & ~s for i in _bits(s))]
-        upsets = [s for s in range(1 << k) if all(not up[i] & ~s for i in _bits(s))]
-        strict_down = [down[i] & ~(1 << i) for i in range(k)]
-        for d_mask in downsets:
-            for u_mask in upsets:
-                if d_mask & u_mask:
+    pending = [((), [0], [0])]
+    while pending:
+        up, downs, ups = pending.pop()
+        k = len(up)
+        bit = 1 << k
+        for d in downs:
+            allowed = bit - 1
+            for i in _bits(d):
+                allowed &= up[i] & ~(1 << i)
+            base = tuple(row | bit if d >> i & 1 else row for i, row in enumerate(up))
+            for u in ups:
+                if u & ~allowed:
                     continue
-                if any(d_mask & ~strict_down[u] for u in _bits(u_mask)):
-                    continue
-                new_up = [up[i] | (1 << k) if d_mask >> i & 1 else up[i] for i in range(k)]
-                new_up.append(1 << k | u_mask)
-                yield from rec(k + 1, new_up)
-
-    yield from rec(0, [])
+                if k + 1 == n:
+                    yield (*base, bit | u)
+                else:
+                    pending.append((
+                        (*base, bit | u),
+                        [s for s in downs if not s & u] + [s | bit for s in downs if not d & ~s],
+                        [s for s in ups if not s & d] + [s | bit for s in ups if not u & ~s],
+                    ))
 
 
 def _all_masks(n: int) -> tuple[tuple[int, ...], ...]:
@@ -105,7 +106,8 @@ def _all_masks(n: int) -> tuple[tuple[int, ...], ...]:
 
 def _bounded_masks(n: int) -> tuple[tuple[int, ...], ...]:
     # a bounded labeled poset decomposes uniquely into bottom, top and an
-    # arbitrary poset on the remaining labels
+    # arbitrary poset on the remaining labels; per (bottom, top) pair one
+    # table carries each middle-row mask to its carrier row, the top included
     if n in _BOUNDED_CACHE:
         return _BOUNDED_CACHE[n]
     if n == 1:
@@ -113,21 +115,18 @@ def _bounded_masks(n: int) -> tuple[tuple[int, ...], ...]:
     else:
         rows = []
         full = (1 << n) - 1
-        for b in range(n):
-            for t in range(n):
-                if t == b:
-                    continue
-                middle = [e for e in range(n) if e not in (b, t)]
-                for mid_up in _all_masks(n - 2):
-                    up = [0] * n
-                    up[b] = full
-                    up[t] = 1 << t
-                    for mi, e in enumerate(middle):
-                        mask = 1 << e | 1 << t
-                        for mj in _bits(mid_up[mi] & ~(1 << mi)):
-                            mask |= 1 << middle[mj]
-                        up[e] = mask
-                    rows.append(tuple(up))
+        for b, t in permutations(range(n), 2):
+            middle = [e for e in range(n) if e not in (b, t)]
+            carrier = [1 << t] * (1 << (n - 2))
+            for m in range(1, len(carrier)):
+                low = m & -m
+                carrier[m] = carrier[m ^ low] | 1 << middle[low.bit_length() - 1]
+            up = [0] * n
+            up[b], up[t] = full, 1 << t
+            for mid_up in _all_masks(n - 2):
+                for e, row in zip(middle, mid_up):
+                    up[e] = carrier[row]
+                rows.append(tuple(up))
         out = tuple(sorted(rows))
     if n <= _CACHE_LIMIT:
         _BOUNDED_CACHE[n] = out
@@ -236,10 +235,10 @@ def _concl_convex_restrictions_semimodular(ll) -> Verdict:
 
 
 def _concl_equal_chain_lengths(p) -> Verdict:
-    for a in range(p.n):
-        lengths = {c.length for c in p.maximal_chains_to_top(a)}
-        if len(lengths) > 1:
-            return Verdict(False, (a,), f"maximal chain lengths {sorted(lengths)}")
+    """Witness: the least element whose Poset.chain_lengths_to_top mask has more than one bit."""
+    for a, lengths in enumerate(p.chain_lengths_to_top()):
+        if lengths.bit_count() > 1:
+            return Verdict(False, (a,), f"maximal chain lengths {list(_bits(lengths))}")
     return Verdict(True)
 
 

@@ -41,7 +41,12 @@ def has_bottom(n, rel):
 
 
 def has_top(n, rel):
-    return any(all((j, t) in rel for j in range(n)) for t in range(n))
+    return top_element(n, rel) is not None
+
+
+def top_element(n, rel):
+    """The element every element lies below, or None."""
+    return next((t for t in range(n) if all((j, t) in rel for j in range(n))), None)
 
 
 def is_directed_naive(n, rel):
@@ -310,4 +315,16 @@ def lu_covering_witness(n, rel):
                 if ((x, y) in cov and (x, z) in cov and _incomparable(rel, y, z)
                         and not any((y, u) in cov and (z, u) in cov for u in range(n))):
                     return (x, y, z)
+    return None
+
+
+def equal_chain_lengths_failure(n, rel):
+    """Least a with saturated chains of two lengths up to the top, as
+    (witness, note), or None; chains are the cover paths of the relation."""
+    top = top_element(n, rel)
+    cov = sorted(cover_relation(n, rel))
+    for a in range(n):
+        lengths = sorted({len(path) - 1 for path in cover_paths(n, cov, a, top)})
+        if len(lengths) > 1:
+            return (a,), f"maximal chain lengths {lengths}"
     return None

@@ -2,6 +2,7 @@ import pytest
 
 from lamlat import (
     AcuteClause,
+    ChoiceSpec,
     Poset,
     UnboundedError,
     Verdict,
@@ -173,6 +174,14 @@ def test_height_inequality_fig4_pair():
     assert height_inequality(ll).holds
 
 
+def test_height_inequality_pair_qualified_by_b_only():
+    ll = height_qualified_by_b_only()
+    assert ll.meet_table[2][3] == 5 and ll.poset.is_cover(5, 3) and not ll.poset.is_cover(5, 2)
+    v = height_inequality(ll)
+    assert v.witness == (2, 3)
+    assert v.note == "h(a)=2 h(b)=1 h(join)=4 h(meet)=0"
+
+
 def test_height_inequality_needs_bounds():
     # completions always have bounds; exercise the guard via a raw table
     p = Poset([[1, 0], [0, 1]])
@@ -274,12 +283,22 @@ ORACLES = (
 )
 
 
+def height_qualified_by_b_only():
+    # a pentagon 5 < 4 < 2 < 1, 5 < 3 < 1 under an extra top 0, completed with
+    # the top as join and the bottom as meet: the least height-inequality
+    # witness is (2, 3), where 2 ^ 3 = 5 is covered by 3 but not by 2; no
+    # completion with n <= 5 and no fixture has a pair that qualifies this way
+    p = Poset.from_covers(6, [(1, 0), (2, 1), (3, 1), (4, 2), (5, 3), (5, 4)])
+    pairs = ((2, 3), (3, 4))
+    return from_choice(p, ChoiceSpec({xy: 0 for xy in pairs}, {xy: 5 for xy in pairs}))
+
+
 def test_checkers_match_oracles_on_small_completions_and_fixtures(fixtures, completions_upto5):
     # verdict and least witness of each checker (truth value of each lattice
     # predicate) on every completion at n <= 5; the oracles scan every cell,
     # comparable ones included; cond3, cond4 and lemma1_refutes never fail
     # there, so the fixtures (FIG2, FIG4, FIG5) supply their failing direction
-    instances = completions_upto5 + list(fixtures.values())
+    instances = completions_upto5 + list(fixtures.values()) + [height_qualified_by_b_only()]
     failing = {checker.__name__: 0 for checker, _ in ORACLES}
     for ll in instances:
         n = ll.n

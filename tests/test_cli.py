@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lamlat
 from lamlat.cli import main
 from lamlat.fixtures import fixture, fixture_poset
 from lamlat.instances import render_instance
@@ -167,3 +172,19 @@ def test_usage_error_exit_2(capsys):
 
 def test_help_exit_0(capsys):
     assert main(["--help"]) == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(lamlat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "lamlat", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    ok = run("verify", "TH1", "--max-n", "3")
+    assert ok.returncode == 0, ok.stderr
+    assert "counterexample: none" in ok.stdout
+    bad = run("enumerate", "--n", "0")
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error:")

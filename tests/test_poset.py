@@ -14,16 +14,20 @@ from lamlat import (
     enumerate_posets,
     mk_poset,
 )
-from lamlat.fixtures import fixture_poset
+from lamlat.fixtures import FIXTURE_NAMES, fixture_poset
 from lamlat.poset import _bits
+from lamlat.search import THEOREMS
 
 from oracles import (
     cover_paths,
+    equal_chain_lengths_failure,
+    has_top,
     lu_covering_witness,
     oracle_height,
     oracle_lower_bounds,
     oracle_upper_bounds,
     relation_from_covers,
+    top_element,
 )
 
 FIG2_COVERS = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5), (4, 6), (5, 6)]
@@ -163,6 +167,37 @@ def test_chains_need_top():
     antichain = Poset([[1, 0], [0, 1]])
     with pytest.raises(NoTopError):
         antichain.maximal_chains_to_top(0)
+
+
+def test_chain_lengths_to_top():
+    assert fixture_poset("FIG2").chain_lengths_to_top() == (8, 4, 4, 4, 2, 2, 1)
+    assert fixture_poset("FIG5").chain_lengths_to_top()[0] == 0b11000  # lengths 3 and 4
+    with pytest.raises(NoTopError):
+        Poset([[1, 0], [0, 1]]).chain_lengths_to_top()
+
+
+def test_top_and_chain_lengths_match_oracles_up_to_5_and_fixtures():
+    # Poset.top against the set-based top, and the CHAINS conclusion's
+    # verdict, witness and note against the lengths of the cover paths
+    conclusion = THEOREMS["CHAINS"].conclusion
+    posets = list(enumerate_posets(EnumerationFilter(max_elements=5)))
+    posets += [fixture_poset(name) for name in FIXTURE_NAMES]
+    topped = failing = 0
+    for p in posets:
+        rel = relation_from_covers(p.n, p.covers)
+        assert p.top == top_element(p.n, rel), p
+        assert (p.top is not None) == has_top(p.n, rel), p
+        if p.top is None:
+            continue
+        topped += 1
+        v = conclusion(p)
+        expected = equal_chain_lengths_failure(p.n, rel)
+        assert v.holds == (expected is None), p
+        if expected is not None:
+            assert (v.witness, v.note) == expected, p
+            failing += 1
+    assert len(posets) == 4473 + len(FIXTURE_NAMES)
+    assert 0 < failing < topped < len(posets)
 
 
 def test_lu_covering_fig2_holds():

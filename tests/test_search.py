@@ -22,7 +22,8 @@ from lamlat import (
     violates,
 )
 from lamlat.fixtures import fixture, fixture_poset
-from lamlat.search import THEOREMS
+from lamlat.poset import _validate_order
+from lamlat.search import THEOREMS, _all_masks, _bounded_masks
 
 from oracles import all_labeled_posets_naive, has_bottom, has_top, is_directed_naive
 
@@ -54,6 +55,24 @@ def test_bounded_filter_matches_naive_oracle():
             if p.n == n
         )
         assert got == expected
+
+
+def test_labeled_streams_at_six_are_valid_sorted_and_decompose():
+    rows = _all_masks(6)
+    assert len(rows) == 130023  # A001035
+    assert all(a < b for a, b in zip(rows, rows[1:]))  # strictly ascending, hence distinct
+    for up in rows:
+        _validate_order(6, up)
+    # a bounded poset is a labeled poset with a row holding every element
+    # (the bottom) and an element lying in every row (the top)
+    for n, count in ((5, 380), (6, 6570)):
+        full = (1 << n) - 1
+        expected = tuple(
+            up for up in _all_masks(n)
+            if full in up and any(all(row >> t & 1 for row in up) for t in range(n))
+        )
+        assert len(expected) == count
+        assert _bounded_masks(n) == expected
 
 
 def test_bounded_n2_is_two_labeled_chains():
