@@ -2,10 +2,11 @@
 
 Comparable-cell rule: a lambda-lattice holds max and min on every
 comparable pair, so on those cells each condition here holds from the
-order alone. The checkers therefore scan only pairs (x, y) with y in the
-incomparable mask of x, in ascending order, so the first failure found is
-still the least witness. Where the premise is not itself x || y, the
-docstring gives the reason the comparable cells are safe to skip.
+order alone. The checkers therefore scan only the poset's cached
+Poset._incomparable_cells, the ordered pairs (x, y) with x || y in
+ascending order, so the first failure found is still the least witness.
+Where the premise is not itself x || y, the docstring gives the reason
+the comparable cells are safe to skip.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,9 @@ from enum import Enum
 from .errors import UnboundedError
 from .lattice import LambdaLattice
 from .poset import Poset, _bits
-from .verdict import DictRecord, Verdict
+from .verdict import HOLDS, DictRecord, Verdict
+
+_DCC = Verdict(True, note="finite carrier: every descending chain terminates")
 
 
 def _semimodular_frames(ll: LambdaLattice):
@@ -23,14 +26,13 @@ def _semimodular_frames(ll: LambdaLattice):
     between is the mask of those z; ucands are the u with x^y < u <= y.
     """
     p = ll.poset
-    up, down, inc = p._up, p._down, p._incomparable
+    up, down = p._up, p._down
     mt = ll.meet_table
-    for x in range(p.n):
-        for y in _bits(inc[x]):
-            m = mt[x][y]
-            between = up[m] & down[x] & ~(1 << m) & ~(1 << x)
-            if between:
-                yield x, y, between, _bits(up[m] & down[y] & ~(1 << m))
+    for x, y in p._incomparable_cells:
+        m = mt[x][y]
+        between = up[m] & down[x] & ~(1 << m) & ~(1 << x)
+        if between:
+            yield x, y, between, _bits(up[m] & down[y] & ~(1 << m))
 
 
 def is_semimodular(ll: LambdaLattice) -> Verdict:
@@ -44,7 +46,7 @@ def is_semimodular(ll: LambdaLattice) -> Verdict:
         for z in _bits(between):
             if not any(mt[jt[z][u]][x] == z for u in ucands):
                 return Verdict(False, (x, y, z))
-    return Verdict(True)
+    return HOLDS
 
 
 def lemma1_refutes(ll: LambdaLattice) -> tuple[int, int, int, int] | None:
@@ -77,14 +79,13 @@ def _lower_covering(ll: LambdaLattice, guard) -> Verdict:
     Only x || y can fail: x <= y has meet x, not covered by x; y < x has y -< x v y = x.
     """
     p = ll.poset
-    cov, inc = p._covers_above, p._incomparable
+    cov = p._covers_above
     jt, mt = ll.join_table, ll.meet_table
-    for x in range(p.n):
-        for y in _bits(inc[x]):
-            j = jt[x][y]
-            if cov[mt[x][y]] >> x & 1 and not cov[y] >> j & 1 and guard[x] >> j & 1:
-                return Verdict(False, (x, y))
-    return Verdict(True)
+    for x, y in p._incomparable_cells:
+        j = jt[x][y]
+        if cov[mt[x][y]] >> x & 1 and not cov[y] >> j & 1 and guard[x] >> j & 1:
+            return Verdict(False, (x, y))
+    return HOLDS
 
 
 def satisfies_wlcc(ll: LambdaLattice) -> Verdict:
@@ -102,12 +103,11 @@ def _meet_steps(ll: LambdaLattice, steps) -> Verdict:
     p = ll.poset
     up, inc = p._up, p._incomparable
     mt = ll.meet_table
-    for x in range(p.n):
-        for y in _bits(inc[x]):
-            for z in _bits(steps[y] & inc[x] & ~(1 << y)):
-                if not up[mt[x][y]] >> mt[x][z] & 1:
-                    return Verdict(False, (x, y, z))
-    return Verdict(True)
+    for x, y in p._incomparable_cells:
+        for z in _bits(steps[y] & inc[x] & ~(1 << y)):
+            if not up[mt[x][y]] >> mt[x][z] & 1:
+                return Verdict(False, (x, y, z))
+    return HOLDS
 
 
 def cond3(ll: LambdaLattice) -> Verdict:
@@ -123,20 +123,19 @@ def cond4(ll: LambdaLattice) -> Verdict:
 def cond5(ll: LambdaLattice) -> Verdict:
     """x || y, x < z and y -< z force z not strictly below x v y."""
     p = ll.poset
-    up, cov, inc = p._up, p._covers_above, p._incomparable
+    up, cov = p._up, p._covers_above
     jt = ll.join_table
-    for x in range(p.n):
-        for y in _bits(inc[x]):
-            j = jt[x][y]
-            for z in _bits(up[x] & cov[y]):
-                if z != j and up[z] >> j & 1:
-                    return Verdict(False, (x, y, z))
-    return Verdict(True)
+    for x, y in p._incomparable_cells:
+        j = jt[x][y]
+        for z in _bits(up[x] & cov[y]):
+            if z != j and up[z] >> j & 1:
+                return Verdict(False, (x, y, z))
+    return HOLDS
 
 
 def dcc(ll: LambdaLattice) -> Verdict:
     """Descending chain condition; automatic on a finite carrier."""
-    return Verdict(True, note="finite carrier: every descending chain terminates")
+    return _DCC
 
 
 def height_inequality(ll: LambdaLattice) -> Verdict:
@@ -150,20 +149,19 @@ def height_inequality(ll: LambdaLattice) -> Verdict:
     if p.bounds() is None:
         raise UnboundedError("the height inequality needs a bounded instance")
     h = p.heights
-    cov, inc = p._covers_above, p._incomparable
+    cov = p._covers_above
     jt, mt = ll.join_table, ll.meet_table
-    for a in range(p.n):
-        for b in _bits(inc[a]):
-            m = mt[a][b]
-            if not (cov[m] >> a & 1 or cov[m] >> b & 1):
-                continue
-            j = jt[a][b]
-            if h[j] - h[m] > abs(h[a] - h[b]) + 2:
-                return Verdict(
-                    False, (a, b),
-                    f"h(a)={h[a]} h(b)={h[b]} h(join)={h[j]} h(meet)={h[m]}",
-                )
-    return Verdict(True)
+    for a, b in p._incomparable_cells:
+        m = mt[a][b]
+        if not (cov[m] >> a & 1 or cov[m] >> b & 1):
+            continue
+        j = jt[a][b]
+        if h[j] - h[m] > abs(h[a] - h[b]) + 2:
+            return Verdict(
+                False, (a, b),
+                f"h(a)={h[a]} h(b)={h[b]} h(join)={h[j]} h(meet)={h[m]}",
+            )
+    return HOLDS
 
 
 def monotone_wedge(ll: LambdaLattice) -> Verdict:
@@ -179,7 +177,7 @@ def monotone_wedge(ll: LambdaLattice) -> Verdict:
             for z in _bits(inc[x] | inc[y]):
                 if not up[mt[x][z]] >> mt[y][z] & 1:
                     return Verdict(False, (x, y, z))
-    return Verdict(True)
+    return HOLDS
 
 
 # ----- acute classification -----
@@ -227,9 +225,7 @@ def acute_characterization(p: Poset) -> AcuteCharacterization:
     k = None
     if not atoms:
         clause = AcuteClause.NO_ATOMS
-    elif len(atoms) == 1 and all(
-        p.leq(next(iter(atoms)), y) for y in range(p.n) if y != p.bottom
-    ):
+    elif len(atoms) == 1 and p._up[next(iter(atoms))] | 1 << p.bottom == (1 << p.n) - 1:
         clause = AcuteClause.UNIQUE_ATOM_BELOW_ALL
     else:
         k = mk_isomorphic(p)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .checkers import classify
 from .dot import export_dot
-from .errors import LamlatError
+from .errors import ArgumentError, LamlatError
 from .fixtures import FIXTURE_NAMES, fixture
 from .instances import parse_instance, render_instance
 from .lattice import LambdaLattice
@@ -124,10 +124,17 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _size(value: int, flag: str) -> int:
+    """A carrier size from the command line, named by its flag when below 1."""
+    if value < 1:
+        raise ArgumentError(f"{flag} must be at least 1")
+    return value
+
+
 def _cmd_verify(args) -> int:
     flt = None
     if args.max_n is not None:
-        flt = EnumerationFilter(max_elements=args.max_n)
+        flt = EnumerationFilter(max_elements=_size(args.max_n, "--max-n"))
     result = verify(args.theorem, flt, budget=args.budget)
     lines = [
         f"theorem: {result.theorem_id}",
@@ -153,7 +160,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     flt = EnumerationFilter(
-        max_elements=args.n,
+        max_elements=_size(args.n, "--n"),
         require_directed=args.directed,
         require_bounded=args.bounded,
         canonical_only=args.canonical,

@@ -12,7 +12,7 @@ from .errors import (
     UnboundedError,
 )
 from .poset import Poset, _bits, _check_index
-from .verdict import DictRecord, Verdict
+from .verdict import HOLDS, DictRecord, Verdict
 
 Pair = tuple[int, int]
 
@@ -90,7 +90,7 @@ def check_axioms(join, meet) -> AxiomReport:
     def first_failure(failures, note: str) -> Verdict:
         hit = next(failures, None)
         if hit is None:
-            return Verdict(True)
+            return HOLDS
         w, op, dual = hit
         return Verdict(False, w, note.format(op=op, dual=dual))
 
@@ -349,10 +349,17 @@ def from_choice(p: Poset, choice: ChoiceSpec | None = None, *, fill: str = "forc
 
 
 def acute(p: Poset) -> LambdaLattice:
-    """The completion sending every incomparable pair to (top, bottom)."""
+    """The completion sending every incomparable pair to (top, bottom).
+
+    Top and bottom bound every pair, so the tables meet the contract and
+    are built trusted; equal to from_choice(p, None, fill="acute").
+    """
     if p.bounds() is None:
         raise UnboundedError("the acute completion needs a bounded poset")
-    return from_choice(p, None, fill="acute")
+    jt, mt = _base_rows(p)
+    for x, y in p._incomparable_cells:
+        jt[x][y], mt[x][y] = p.top, p.bottom
+    return LambdaLattice._from_tables(p, _frozen(jt), _frozen(mt))
 
 
 # ----- algebra-level predicates -----
@@ -430,17 +437,19 @@ def is_distributive(ll: LambdaLattice) -> bool:
 def convex_closed_subsets(ll: LambdaLattice) -> Iterator[frozenset[int]]:
     """Nonempty convex subsets closed under both tables, ascending by bitmask.
 
-    Each yielded subset induces a lambda-lattice via LambdaLattice.restrict.
-    Cost grows as 2^n; intended for n <= 12.
+    Convexity comes from the poset's cached convex masks, shared by all
+    its completions. Closure is tested on incomparable pairs only: a
+    comparable pair's join and meet are the pair itself. Each yielded
+    subset induces a lambda-lattice via LambdaLattice.restrict. Cost
+    grows as 2^n; intended for n <= 12.
     """
     p = ll.poset
     jt, mt = ll.join_table, ll.meet_table
-    for mask in range(1, 1 << p.n):
-        elems = _bits(mask)
-        closed = all(
-            mask >> jt[x][y] & 1 and mask >> mt[x][y] & 1
-            for i, x in enumerate(elems)
-            for y in elems[i:]
-        )
-        if closed and p._is_convex_mask(mask):
-            yield frozenset(elems)
+    pairs = p.incomparable_pairs
+    for mask in p._convex_masks:
+        for x, y in pairs:
+            if (mask >> x & 1 and mask >> y & 1
+                    and not (mask >> jt[x][y] & 1 and mask >> mt[x][y] & 1)):
+                break
+        else:
+            yield frozenset(_bits(mask))

@@ -7,7 +7,7 @@ from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CycleError, InvalidOrderError, NoTopError, RangeError, UnboundedError
-from .verdict import Verdict
+from .verdict import HOLDS, Verdict
 
 
 class _cached(cached_property):
@@ -314,23 +314,31 @@ class Poset:
                 for z in ys:
                     if y != z and not above[y] & above[z]:
                         return Verdict(False, (x, y, z))
-        return Verdict(True)
+        return HOLDS
 
     def is_convex(self, elements: Iterable[int]) -> bool:
         """Contains every element lying between two of its members."""
-        mask = 0
+        mask = up = down = 0
         for x in elements:
             _check_index(self.n, x)
             mask |= 1 << x
-        return self._is_convex_mask(mask)
+            up |= self._up[x]
+            down |= self._down[x]
+        return up & down == mask  # up & down: the members and all elements between two
 
-    def _is_convex_mask(self, mask: int) -> bool:
-        for x in _bits(mask):
-            for z in _bits(mask & self._up[x]):
-                between = self._up[x] & self._down[z] & ~(1 << x) & ~(1 << z)
-                if between & ~mask:
-                    return False
-        return True
+    @_cached
+    def _convex_masks(self) -> tuple[int, ...]:
+        # every nonempty convex subset as a bitmask, ascending, by is_convex's
+        # rule; each mask's closures extend those of the mask without its lowest bit
+        ups, downs = [0] * (1 << self.n), [0] * (1 << self.n)
+        out = []
+        for m in range(1, 1 << self.n):
+            low = m & -m
+            i = low.bit_length() - 1
+            ups[m], downs[m] = ups[m ^ low] | self._up[i], downs[m ^ low] | self._down[i]
+            if ups[m] & downs[m] == m:
+                out.append(m)
+        return tuple(out)
 
     @_cached
     def _incomparable(self) -> tuple[int, ...]:
@@ -339,10 +347,15 @@ class Poset:
         return tuple(full & ~(u | d) for u, d in zip(self._up, self._down))
 
     @_cached
+    def _incomparable_cells(self) -> tuple[tuple[int, int], ...]:
+        # every ordered pair (x, y) with x || y, ascending by x and then by y
+        inc = self._incomparable
+        return tuple((x, y) for x in range(self.n) for y in _bits(inc[x]))
+
+    @_cached
     def incomparable_pairs(self) -> tuple[tuple[int, int], ...]:
         """Pairs (x, y) with x < y as indices and x, y order-incomparable."""
-        inc = self._incomparable
-        return tuple((x, y) for x in range(self.n) for y in _bits(inc[x]) if x < y)
+        return tuple((x, y) for x, y in self._incomparable_cells if x < y)
 
     @_cached
     def _least_bounds(self) -> tuple[tuple[int | None, int | None], ...]:

@@ -27,7 +27,7 @@ from .lattice import (
     is_monotone,
 )
 from .poset import Poset, _bits
-from .verdict import Verdict
+from .verdict import HOLDS, Verdict
 
 HARD_MAX_ELEMENTS = 7
 DEFAULT_COMPLETION_BUDGET = 10**6
@@ -219,19 +219,23 @@ class Theorem:
 def _concl_lemma1(ll) -> Verdict:
     quad = checkers.lemma1_refutes(ll)
     if quad is None:
-        return Verdict(True)
+        return HOLDS
     return Verdict(False, quad, "all joins from the refuting quadruple agree")
 
 
 def _concl_convex_restrictions_semimodular(ll) -> Verdict:
+    inc = ll.poset._incomparable
     for subset in convex_closed_subsets(ll):
+        mask = sum(1 << x for x in subset)
+        if not any(inc[x] & mask for x in subset):
+            continue  # a chain has no incomparable pair, so no semimodularity frame
         v = checkers.is_semimodular(ll.restrict(subset))
         if not v.holds:
             return Verdict(
                 False, tuple(sorted(subset)),
                 f"restriction fails semimodularity at {v.witness}",
             )
-    return Verdict(True)
+    return HOLDS
 
 
 def _concl_equal_chain_lengths(p) -> Verdict:
@@ -239,7 +243,7 @@ def _concl_equal_chain_lengths(p) -> Verdict:
     for a, lengths in enumerate(p.chain_lengths_to_top()):
         if lengths.bit_count() > 1:
             return Verdict(False, (a,), f"maximal chain lengths {list(_bits(lengths))}")
-    return Verdict(True)
+    return HOLDS
 
 
 def _acute_condition_ii(p: Poset) -> bool:
@@ -252,7 +256,7 @@ def _concl_acute_equivalence(p) -> Verdict:
     via_atoms = _acute_condition_ii(p)
     via_structure = checkers.acute_characterization(p).clause is not checkers.AcuteClause.FAILS
     if via_lcc == via_atoms == via_structure:
-        return Verdict(True)
+        return HOLDS
     return Verdict(
         False, (),
         f"lcc-of-acute={via_lcc} atom-condition={via_atoms} structural={via_structure}",
@@ -263,25 +267,25 @@ def _concl_acute_finite(p) -> Verdict:
     via_lcc = checkers.satisfies_lcc(acute(p)).holds
     structural = p.n == 1 or len(p.atoms()) == 1 or checkers.mk_isomorphic(p) is not None
     if via_lcc == structural:
-        return Verdict(True)
+        return HOLDS
     return Verdict(False, (), f"lcc-of-acute={via_lcc} structural={structural}")
 
 
 def _concl_monotone_iff_lattice(ll) -> Verdict:
     mono, lat = is_monotone(ll), is_lattice(ll)
     if mono == lat:
-        return Verdict(True)
+        return HOLDS
     return Verdict(False, (), f"monotone={mono} lattice={lat}")
 
 
 def _concl_modular_implies_lattice(ll) -> Verdict:
     if is_lattice(ll):
-        return Verdict(True)
+        return HOLDS
     if is_modular(ll):
         return Verdict(False, (), "modular without being a lattice")
     if is_distributive(ll):
         return Verdict(False, (), "distributive without being a lattice")
-    return Verdict(True)
+    return HOLDS
 
 
 def _always(_) -> bool:
@@ -504,11 +508,12 @@ def verify(
     """Replay one theorem over every enumerated instance in range.
 
     Stops at the first (least, by encoding) counterexample unless
-    collect_all is set. A poset whose completion_count exceeds the
-    budget is counted as skipped before any completion is built, never
-    sampled; the others stream their completions lazily, so a first-hit
-    run stops building at the counterexample. Budgets below 1 would
-    skip everything and are rejected.
+    collect_all is set. A poset whose completion stream exceeds the
+    budget is counted as skipped: enumerate_completions sizes it and
+    raises BudgetError before any completion is built, never sampled;
+    the others stream their completions lazily, so a first-hit run stops
+    building at the counterexample. Budgets below 1 would skip
+    everything and are rejected.
     """
     th = _lookup(theorem_id)
     if budget < 1:
@@ -534,19 +539,21 @@ def verify(
                 v = th.conclusion(p)
                 if not v.holds:
                     found.append(Counterexample(th.theorem_id, p, None, v.witness, v.note))
-        elif completion_count(p) > budget:
-            posets_skipped += 1
         else:
-            posets_checked += 1
-            for ll in enumerate_completions(p, None):
-                lattices_checked += 1
-                if not th.hypothesis(ll):
-                    continue
-                v = th.conclusion(ll)
-                if not v.holds:
-                    found.append(Counterexample(th.theorem_id, p, ll, v.witness, v.note))
-                    if not collect_all:
-                        break
+            try:
+                for ll in enumerate_completions(p, budget):
+                    lattices_checked += 1
+                    if not th.hypothesis(ll):
+                        continue
+                    v = th.conclusion(ll)
+                    if not v.holds:
+                        found.append(Counterexample(th.theorem_id, p, ll, v.witness, v.note))
+                        if not collect_all:
+                            break
+            except BudgetError:  # raised before the first completion is built
+                posets_skipped += 1
+            else:
+                posets_checked += 1
         if found and not collect_all:
             break
 

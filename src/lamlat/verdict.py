@@ -71,3 +71,6 @@ class Verdict(DictRecord):
 
     def __bool__(self) -> bool:
         return self.holds
+
+
+HOLDS = Verdict(True)  # frozen, so one instance serves every passing check

@@ -328,3 +328,21 @@ def equal_chain_lengths_failure(n, rel):
         if len(lengths) > 1:
             return (a,), f"maximal chain lengths {lengths}"
     return None
+
+
+def incomparable_cells_naive(n, rel):
+    """Every ordered pair (x, y) of incomparable elements, ascending by x, then y."""
+    return [(x, y) for x in range(n) for y in range(n) if _incomparable(rel, x, y)]
+
+
+def convex_closed_subsets_naive(n, rel, join, meet):
+    """Every nonempty subset, ascending by bitmask, that holds the join and
+    meet of each pair of its members and each element between two members."""
+    found = []
+    for mask in range(1, 1 << n):
+        s = {x for x in range(n) if mask >> x & 1}
+        closed = all(join[x][y] in s and meet[x][y] in s for x in s for y in s)
+        between = {z for x in s for y in s for z in range(n) if (x, z) in rel and (z, y) in rel}
+        if closed and between <= s:
+            found.append(frozenset(s))
+    return found

@@ -139,8 +139,16 @@ def test_verify_budget_flag(capsys):
 def test_sizes_and_budgets_below_one_exit_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "at least 1" in captured.err
+    flag = argv[-2]  # a size error names the flag the user typed
+    what = "the completion budget" if flag == "--budget" else flag
+    assert captured.err.startswith(f"error: {what} must be at least 1")
     assert "counterexample" not in captured.out
+
+
+def test_verify_height_at_seven_exits_1(capsys):
+    assert main(["verify", "HEIGHT", "--max-n", "7", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["counterexample"]["witness"] == [2, 3]
 
 
 def test_enumerate_count_only(capsys):

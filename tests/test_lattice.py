@@ -26,7 +26,7 @@ from lamlat import (
 )
 from lamlat.fixtures import fixture, fixture_poset
 
-from oracles import is_lattice_naive, relation_from_covers
+from oracles import convex_closed_subsets_naive, is_lattice_naive, relation_from_covers
 
 
 def boolean_2x2():
@@ -146,6 +146,16 @@ def test_acute_equals_constant_choice(fixtures):
     assert acute(p) == from_choice(p, spec)
 
 
+def test_acute_tables_match_the_acute_fill_on_bounded_posets_up_to_5():
+    # acute builds its tables trusted; the validating from_choice path must agree
+    posets = 0
+    for p in enumerate_posets(EnumerationFilter(max_elements=5, require_bounded=True)):
+        ll, ref = acute(p), from_choice(p, None, fill="acute")
+        assert (ll.join_table, ll.meet_table) == (ref.join_table, ref.meet_table), p
+        posets += 1
+    assert posets == 425
+
+
 def test_idempotency_fixtures(fixtures):
     for name, ll in fixtures.items():
         assert idempotency_holds(ll), name
@@ -203,6 +213,15 @@ def test_convex_closed_subsets_fig2():
         assert frozenset({x}) in subsets
     assert frozenset({0, 1, 2, 4}) in subsets  # join(a, b) = d keeps it closed
     assert frozenset({0, 4}) not in subsets  # not convex
+
+
+def test_convex_closed_subsets_match_oracle(fixtures, completions_upto5):
+    # same subsets in the same order as a scan of every subset that tests
+    # closure on every pair and convexity from the between-sets
+    for ll in completions_upto5 + list(fixtures.values()):
+        rel = relation_from_covers(ll.n, ll.poset.covers)
+        expected = convex_closed_subsets_naive(ll.n, rel, ll.join_table, ll.meet_table)
+        assert list(convex_closed_subsets(ll)) == expected, ll.encoding()
 
 
 def test_convex_closed_restriction_is_lambda_lattice():

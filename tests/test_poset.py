@@ -22,6 +22,7 @@ from oracles import (
     cover_paths,
     equal_chain_lengths_failure,
     has_top,
+    incomparable_cells_naive,
     lu_covering_witness,
     oracle_height,
     oracle_lower_bounds,
@@ -232,6 +233,15 @@ def test_lu_covering_matches_oracle_on_all_posets_up_to_5():
         failing += not v.holds
     assert posets == 4473
     assert 0 < failing < posets
+
+
+def test_incomparable_cells_match_oracle_on_all_posets_up_to_5():
+    posets = 0
+    for p in enumerate_posets(EnumerationFilter(max_elements=5)):
+        rel = relation_from_covers(p.n, p.covers)
+        assert list(p._incomparable_cells) == incomparable_cells_naive(p.n, rel), p
+        posets += 1
+    assert posets == 4473
 
 
 def test_bits_matches_bit_loop_across_table_boundary():

@@ -14,6 +14,7 @@ from lamlat import (
     UnknownTheoremError,
     check_axioms,
     completion_count,
+    convex_closed_subsets,
     enumerate_completions,
     enumerate_posets,
     from_choice,
@@ -21,11 +22,19 @@ from lamlat import (
     verify,
     violates,
 )
+from lamlat import checkers
 from lamlat.fixtures import fixture, fixture_poset
 from lamlat.poset import _validate_order
 from lamlat.search import THEOREMS, _all_masks, _bounded_masks
+from lamlat.verdict import HOLDS
 
-from oracles import all_labeled_posets_naive, has_bottom, has_top, is_directed_naive
+from oracles import (
+    all_labeled_posets_naive,
+    has_bottom,
+    has_top,
+    is_directed_naive,
+    relation_from_covers,
+)
 
 
 def count_posets(**kw):
@@ -292,6 +301,40 @@ def test_verify_deterministic():
     b = verify("TH1_LCC_CONCLUSION", EnumerationFilter(max_elements=5))
     assert a.counterexample.encoding() == b.counterexample.encoding()
     assert (a.posets_checked, a.lattices_checked) == (b.posets_checked, b.lattices_checked)
+
+
+def test_height_is_refuted_at_seven():
+    # HEIGHT as formalised: clean on every completion up to n = 6, and this is
+    # the least labeled counterexample at n = 7
+    r = verify("HEIGHT", EnumerationFilter(max_elements=7))
+    assert (r.posets_checked, r.lattices_checked, r.posets_skipped) == (7039, 20225, 0)
+    d = r.counterexample.to_dict()
+    assert d["n"] == 7
+    assert d["covers"] == [[1, 0], [2, 0], [3, 0], [4, 1], [5, 2], [5, 3], [5, 4], [6, 5]]
+    assert d["joins"] == dict.fromkeys(["1 2", "1 3", "2 3", "2 4", "3 4"], 0)
+    assert d["meets"] == {"1 2": 5, "1 3": 5, "2 3": 5, "2 4": 6, "3 4": 6}
+    assert d["witness"] == [2, 3]
+    assert d["note"] == "h(a)=2 h(b)=2 h(join)=4 h(meet)=1"
+    assert r.counterexample.validate()
+
+
+def test_lem2_checks_every_convex_closed_subset_but_chains(monkeypatch, completions_upto5):
+    # a chain has no semimodularity frame, so LEM2 skips it; every other
+    # convex closed subset must still reach is_semimodular, or the check is vacuous
+    checked = []
+    monkeypatch.setattr(checkers, "is_semimodular", lambda sub: checked.append(sub) or HOLDS)
+    conclusion = THEOREMS["LEM2"].conclusion
+    chains = 0
+    for ll in completions_upto5 + [fixture("FIG2")]:
+        rel = relation_from_covers(ll.n, ll.poset.covers)
+        subsets = list(convex_closed_subsets(ll))
+        kept = [s for s in subsets
+                if any((x, y) not in rel and (y, x) not in rel for x in s for y in s)]
+        checked.clear()
+        assert conclusion(ll).holds
+        assert checked == [ll.restrict(s) for s in kept], ll.encoding()
+        chains += len(subsets) - len(kept)
+    assert chains > 0
 
 
 def test_violates_on_fixture():
