@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import UnboundedError
-from .lattice import LambdaLattice
+from .lattice import LambdaLattice, _monotone_failure
 from .poset import Poset, _bits
 from .verdict import HOLDS, DictRecord, Verdict
 
@@ -165,19 +165,9 @@ def height_inequality(ll: LambdaLattice) -> Verdict:
 
 
 def monotone_wedge(ll: LambdaLattice) -> Verdict:
-    """Monotonicity of meet alone: x <= y forces x ^ z <= y ^ z.
-
-    Only z incomparable to x or to y can fail: meets within a chain are minima.
-    """
-    p = ll.poset
-    up, inc = p._up, p._incomparable
-    mt = ll.meet_table
-    for x in range(p.n):
-        for y in _bits(up[x] & ~(1 << x)):
-            for z in _bits(inc[x] | inc[y]):
-                if not up[mt[x][z]] >> mt[y][z] & 1:
-                    return Verdict(False, (x, y, z))
-    return HOLDS
+    """Monotonicity of meet alone: x <= y forces x ^ z <= y ^ z."""
+    witness = _monotone_failure(ll, (ll.meet_table,))
+    return HOLDS if witness is None else Verdict(False, witness)
 
 
 # ----- acute classification -----

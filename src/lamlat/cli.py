@@ -18,7 +18,7 @@ from .instances import parse_instance, render_instance
 from .lattice import LambdaLattice
 from .poset import Poset
 from .report import build_report, render_text
-from .search import EnumerationFilter, enumerate_posets, verify
+from .search import DEFAULT_COMPLETION_BUDGET, EnumerationFilter, enumerate_posets, verify
 
 _ROW_ORDER = (
     (True, True, True),
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replay a registered theorem over all small instances")
     p.add_argument("theorem", help="theorem id, e.g. TH1 (see README for the list)")
     p.add_argument("--max-n", type=int, default=None, help="largest carrier size")
-    p.add_argument("--budget", type=int, default=10**6,
+    p.add_argument("--budget", type=int, default=DEFAULT_COMPLETION_BUDGET,
                    help="per-poset completion budget")
     p.set_defaults(func=_cmd_verify)
 

@@ -11,7 +11,7 @@ from .errors import (
     RangeError,
     UnboundedError,
 )
-from .poset import Poset, _bits, _check_index
+from .poset import Poset, _bits, _check_index, _least
 from .verdict import HOLDS, DictRecord, Verdict
 
 Pair = tuple[int, int]
@@ -189,12 +189,12 @@ class LambdaLattice:
     def restrict(self, elements) -> "LambdaLattice":
         """Table restriction to a subset closed under both operations."""
         elems = sorted(set(elements))
+        sub = self.poset.restrict(elems)  # checks the indices
         pos = {e: i for i, e in enumerate(elems)}
         for x in elems:
             for y in elems:
                 if self.join_table[x][y] not in pos or self.meet_table[x][y] not in pos:
                     raise ValueError("subset is not closed under the operations")
-        sub = self.poset.restrict(elems)
         # a closed subset keeps the table contract, so no validation is needed
         jt = tuple(tuple(pos[self.join_table[x][y]] for y in elems) for x in elems)
         mt = tuple(tuple(pos[self.meet_table[x][y]] for y in elems) for x in elems)
@@ -262,20 +262,18 @@ class LambdaLattice:
 # ----- construction from a poset plus choices -----
 
 
-def _unique_extreme(bounds: int, toward: tuple[int, ...]) -> int | None:
-    # the element of bounds with no other element of bounds in its toward-mask, if unique
-    found = [e for e in _bits(bounds) if bounds & toward[e] == 1 << e]
-    return found[0] if len(found) == 1 else None
-
-
 def forced_join(p: Poset, x: int, y: int) -> int | None:
-    """The unique minimal common upper bound, or None when there are several."""
-    return _unique_extreme(p._up[x] & p._up[y], p._down)
+    """The least common upper bound, or None when there is none."""
+    _check_index(p.n, x)
+    _check_index(p.n, y)
+    return _least(p._up[x] & p._up[y], p._up)
 
 
 def forced_meet(p: Poset, x: int, y: int) -> int | None:
-    """The unique maximal common lower bound, or None when there are several."""
-    return _unique_extreme(p._down[x] & p._down[y], p._up)
+    """The greatest common lower bound, or None when there is none."""
+    _check_index(p.n, x)
+    _check_index(p.n, y)
+    return _least(p._down[x] & p._down[y], p._down)
 
 
 def _frozen(rows) -> tuple[tuple[int, ...], ...]:
@@ -382,22 +380,25 @@ def is_lattice(ll: LambdaLattice) -> bool:
     )
 
 
-def is_monotone(ll: LambdaLattice) -> bool:
-    """x <= y forces x v z <= y v z and x ^ z <= y ^ z for every z.
+def _monotone_failure(ll: LambdaLattice, tables) -> tuple[int, int, int] | None:
+    """The least (x, y, z) with x < y and t[x][z] not <= t[y][z] for one of the tables.
 
     Only z incomparable to x or to y can fail: a chain's joins and meets are max and min.
     """
     p = ll.poset
     up, inc = p._up, p._incomparable
-    jt, mt = ll.join_table, ll.meet_table
     for x in range(p.n):
         for y in _bits(up[x] & ~(1 << x)):
             for z in _bits(inc[x] | inc[y]):
-                if not up[jt[x][z]] >> jt[y][z] & 1:
-                    return False
-                if not up[mt[x][z]] >> mt[y][z] & 1:
-                    return False
-    return True
+                for t in tables:
+                    if not up[t[x][z]] >> t[y][z] & 1:
+                        return (x, y, z)
+    return None
+
+
+def is_monotone(ll: LambdaLattice) -> bool:
+    """x <= y forces x v z <= y v z and x ^ z <= y ^ z for every z."""
+    return _monotone_failure(ll, (ll.join_table, ll.meet_table)) is None
 
 
 def is_modular(ll: LambdaLattice) -> bool:

@@ -37,6 +37,15 @@ def _check_index(n: int, x) -> None:
         raise RangeError(f"element index {x!r} out of range 0..{n - 1}")
 
 
+def _least(bounds: int, toward: Sequence[int]) -> int | None:
+    """The member of bounds whose toward row holds all of bounds, if any.
+
+    Up-set rows give the least member, down-set rows the greatest; on a
+    finite carrier that is also the unique minimal (maximal) member.
+    """
+    return next((e for e in _bits(bounds) if not bounds & ~toward[e]), None)
+
+
 def _permuted(up: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
     """Relation rows carried along the old-index -> new-index permutation."""
     out = [0] * len(up)
@@ -185,13 +194,11 @@ class Poset:
         return frozenset(_bits(self._down[x] & self._down[y]))
 
     def is_directed(self) -> bool:
-        """Every pair has a common upper bound and a common lower bound."""
-        up, down = self._up, self._down
-        return all(
-            up[i] & up[j] and down[i] & down[j]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
+        """Every pair has a common upper bound and a common lower bound.
+
+        On a finite carrier this means that a bottom and a top exist.
+        """
+        return self.bounds() is not None
 
     @_cached
     def bottom(self) -> int | None:
@@ -360,12 +367,9 @@ class Poset:
     @_cached
     def _least_bounds(self) -> tuple[tuple[int | None, int | None], ...]:
         # per incomparable pair: least upper and greatest lower bound, None where missing
-        def least(b: int, masks: tuple[int, ...]) -> int | None:
-            return next((e for e in _bits(b) if not b & ~masks[e]), None)
-
         up, down = self._up, self._down
         return tuple(
-            (least(up[x] & up[y], up), least(down[x] & down[y], down))
+            (_least(up[x] & up[y], up), _least(down[x] & down[y], down))
             for x, y in self.incomparable_pairs
         )
 

@@ -37,9 +37,10 @@ DEFAULT_COMPLETION_BUDGET = 10**6
 class EnumerationFilter:
     """Which posets an enumeration yields.
 
-    On finite carriers directedness and boundedness coincide, so either
-    require flag selects the bounded posets. canonical_only keeps only
-    the least labeling of each isomorphism class.
+    On finite carriers directedness and boundedness coincide, so
+    require_directed sets require_bounded, and require_bounded alone
+    decides. canonical_only keeps only the least labeling of each
+    isomorphism class.
     """
 
     max_elements: int
@@ -50,6 +51,8 @@ class EnumerationFilter:
     def __post_init__(self):
         if self.max_elements < 1:
             raise ArgumentError("max_elements must be at least 1")
+        if self.require_directed:
+            object.__setattr__(self, "require_bounded", True)
 
 
 # ----- labeled poset generation -----
@@ -146,12 +149,21 @@ def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:
             required=f.max_elements,
         )
     for n in range(1, f.max_elements + 1):
-        masks = _bounded_masks(n) if f.require_bounded or f.require_directed else _all_masks(n)
+        masks = _bounded_masks(n) if f.require_bounded else _all_masks(n)
         for up in masks:
             p = Poset._from_masks(n, up)
             if f.canonical_only and not p.is_canonical():
                 continue
             yield p
+
+
+def _completion_options(p: Poset) -> list[list[tuple[int, int]]]:
+    """Per incomparable pair, every (common upper, common lower) bound, in sorted order."""
+    up, down = p._up, p._down
+    return [
+        [(u, l) for u in _bits(up[x] & up[y]) for l in _bits(down[x] & down[y])]
+        for x, y in p.incomparable_pairs
+    ]
 
 
 def enumerate_completions(
@@ -161,21 +173,17 @@ def enumerate_completions(
 
     The stream is the Cartesian product over incomparable pairs of all
     common upper bounds times all common lower bounds, in sorted pair
-    and bound order; a pair with no common upper or lower bound raises
+    and bound order; a poset that is not directed raises
     NotDirectedError. The budget is decided before anything is built:
     BudgetError when the product exceeds it (None means no limit); it
     never samples. Comparable cells take max and min once per poset; each
     completion writes only its incomparable cells, whose options are bits
     of the bound masks and so legal by construction, and is built trusted.
     """
-    up, down = p._up, p._down
+    if not p.is_directed():
+        raise NotDirectedError("completions need a directed poset")
     pairs = p.incomparable_pairs
-    options = []
-    for x, y in pairs:
-        ups, downs = _bits(up[x] & up[y]), _bits(down[x] & down[y])
-        if not (ups and downs):
-            raise NotDirectedError("completions need a directed poset")
-        options.append([(u, l) for u in ups for l in downs])
+    options = _completion_options(p)
     if budget is not None:
         total = prod(map(len, options))
         if total > budget:
@@ -192,11 +200,7 @@ def enumerate_completions(
 
 def completion_count(p: Poset) -> int:
     """Size of the completion stream without generating it."""
-    up, down = p._up, p._down
-    total = 1
-    for x, y in p.incomparable_pairs:
-        total *= (up[x] & up[y]).bit_count() * (down[x] & down[y]).bit_count()
-    return total
+    return prod(map(len, _completion_options(p)))
 
 
 # ----- theorem registry -----
@@ -521,9 +525,7 @@ def verify(
     if flt is None:
         flt = EnumerationFilter(max_elements=th.default_max_elements)
     eff = flt
-    if (th.over == "lattices" or th.require_bounded) and not (
-        flt.require_bounded or flt.require_directed
-    ):
+    if (th.over == "lattices" or th.require_bounded) and not flt.require_bounded:
         eff = replace(flt, require_bounded=True)
 
     start = time.perf_counter()
@@ -558,7 +560,7 @@ def verify(
             break
 
     elapsed = time.perf_counter() - start
-    kind = "bounded posets" if (eff.require_bounded or eff.require_directed) else "posets"
+    kind = "bounded posets" if eff.require_bounded else "posets"
     tail = " and all their completions" if th.over == "lattices" else ""
     scope = (
         f"exhaustive over all labeled {kind} with at most {eff.max_elements} elements{tail}; "
@@ -591,9 +593,7 @@ def independence_table(
     if instances is None:
         if flt is None:
             raise ValueError("need a filter or explicit instances")
-        eff = flt if flt.require_bounded or flt.require_directed else replace(
-            flt, require_bounded=True
-        )
+        eff = flt if flt.require_bounded else replace(flt, require_bounded=True)
         instances = (
             ll for p in enumerate_posets(eff) for ll in enumerate_completions(p, budget)
         )

@@ -59,6 +59,15 @@ def is_directed_naive(n, rel):
     return True
 
 
+def least_bound_naive(n, rel, x, y, side):
+    """The least common upper bound of x and y (side "upper") or their
+    greatest common lower bound (side "lower"), or None when there is none."""
+    below = (lambda a, b: (a, b) in rel) if side == "upper" else (lambda a, b: (b, a) in rel)
+    bounds = {z for z in range(n) if below(x, z) and below(y, z)}
+    least = [u for u in bounds if all(below(u, v) for v in bounds)]
+    return least[0] if least else None
+
+
 def reachable_up(n, covers):
     """Up-sets from a raw cover list, by DFS along cover edges."""
     succ = {i: [] for i in range(n)}
@@ -346,3 +355,39 @@ def convex_closed_subsets_naive(n, rel, join, meet):
         if closed and between <= s:
             found.append(frozenset(s))
     return found
+
+
+AXIOM_NOTES = (
+    "x {op} y = y {op} x fails",
+    "x {op} ((x {op} y) {op} z) = (x {op} y) {op} z fails",
+    "x {op} (x {dual} y) = x fails",
+)
+
+
+def axiom_failures_naive(n, join, meet):
+    """Least violation of commutativity, weak associativity and absorption,
+    each as (witness, note) or None.
+
+    The violations of an identity are collected as a set of (tuple, side),
+    side 0 the join form and 1 the meet form; its minimum is the least
+    tuple, the join form first. Commutativity is stated on pairs x < y.
+    """
+    sides = ((join, meet, "v", "^"), (meet, join, "^", "v"))
+    elems = range(n)
+    violations = (
+        {((x, y), s) for s, (t, _, _, _) in enumerate(sides)
+         for x in elems for y in elems if x < y and t[x][y] != t[y][x]},
+        {((x, y, z), s) for s, (t, _, _, _) in enumerate(sides)
+         for x in elems for y in elems for z in elems
+         if t[x][t[t[x][y]][z]] != t[t[x][y]][z]},
+        {((x, y), s) for s, (t, d, _, _) in enumerate(sides)
+         for x in elems for y in elems if t[x][d[x][y]] != x},
+    )
+    out = []
+    for found, note in zip(violations, AXIOM_NOTES):
+        if not found:
+            out.append(None)
+            continue
+        witness, s = min(found)
+        out.append((witness, note.format(op=sides[s][2], dual=sides[s][3])))
+    return tuple(out)

@@ -39,6 +39,8 @@ def _cases() -> dict[str, list[str]]:
         if tid in _SMALLER:
             argv += ["--max-n", str(_SMALLER[tid])]
         cases[f"verify_{tid}"] = argv
+    # HEIGHT as formalised has its least counterexample at n = 7
+    cases["verify_HEIGHT_7"] = ["verify", "HEIGHT", "--max-n", "7", "--json"]
     return cases
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,8 @@ from lamlat import (
     check_axioms,
     convex_closed_subsets,
     enumerate_posets,
+    forced_join,
+    forced_meet,
     from_choice,
     idempotency_holds,
     is_distributive,
@@ -25,8 +29,14 @@ from lamlat import (
     mk_poset,
 )
 from lamlat.fixtures import fixture, fixture_poset
+from lamlat.verdict import HOLDS
 
-from oracles import convex_closed_subsets_naive, is_lattice_naive, relation_from_covers
+from oracles import (
+    axiom_failures_naive,
+    convex_closed_subsets_naive,
+    is_lattice_naive,
+    relation_from_covers,
+)
 
 
 def boolean_2x2():
@@ -62,6 +72,39 @@ def test_check_axioms_commutativity_witness():
 def test_check_axioms_range_error():
     with pytest.raises(RangeError):
         check_axioms([[0, 5], [5, 1]], [[0, 0], [0, 1]])
+
+
+def random_table(rng, n):
+    """Random entries, made symmetric and made idempotent each with chance one half."""
+    t = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.5:
+        for x in range(n):
+            for y in range(x):
+                t[x][y] = t[y][x]
+    if rng.random() < 0.5:
+        for x in range(n):
+            t[x][x] = x
+    return t
+
+
+def test_check_axioms_matches_oracle(fixtures, completions_upto5):
+    # verdict, least witness and note of each identity against the set-based
+    # oracle; the completions and fixtures pass every identity, and the
+    # seeded random tables fail with each of the six notes
+    rng = random.Random(0)
+    tables = [(ll.join_table, ll.meet_table) for ll in completions_upto5]
+    tables += [(ll.join_table, ll.meet_table) for ll in fixtures.values()]
+    for _ in range(200):
+        n = rng.randrange(1, 5)
+        tables.append((random_table(rng, n), random_table(rng, n)))
+    notes = set()
+    for jt, mt in tables:
+        report = check_axioms(jt, mt)
+        verdicts = (report.commutativity, report.weak_associativity, report.absorption)
+        got = tuple(None if v == HOLDS else (v.witness, v.note) for v in verdicts)
+        assert got == axiom_failures_naive(len(jt), jt, mt), (jt, mt)
+        notes.update(v.note for v in verdicts if not v.holds)
+    assert len(notes) == 6, notes
 
 
 def test_from_choice_fig3():
@@ -250,6 +293,17 @@ def test_restrict_requires_closure():
     ll = fixture("FIG2")
     with pytest.raises(ValueError):
         ll.restrict({1, 2})  # join(a, b) = d escapes
+
+
+def test_restrict_and_forced_bounds_reject_bad_indices():
+    ll = fixture("FIG3")
+    for subset in ([6], [-1], [0, 6]):
+        with pytest.raises(RangeError):
+            ll.restrict(subset)
+    for forced in (forced_join, forced_meet):
+        for x, y in ((-1, 0), (6, 0), (0, -1), (0, 6)):
+            with pytest.raises(RangeError):
+                forced(ll.poset, x, y)
 
 
 def test_lambda_lattice_validates_tables():

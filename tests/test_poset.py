@@ -12,6 +12,8 @@ from lamlat import (
     RangeError,
     UnboundedError,
     enumerate_posets,
+    forced_join,
+    forced_meet,
     mk_poset,
 )
 from lamlat.fixtures import FIXTURE_NAMES, fixture_poset
@@ -23,6 +25,8 @@ from oracles import (
     equal_chain_lengths_failure,
     has_top,
     incomparable_cells_naive,
+    is_directed_naive,
+    least_bound_naive,
     lu_covering_witness,
     oracle_height,
     oracle_lower_bounds,
@@ -242,6 +246,27 @@ def test_incomparable_cells_match_oracle_on_all_posets_up_to_5():
         assert list(p._incomparable_cells) == incomparable_cells_naive(p.n, rel), p
         posets += 1
     assert posets == 4473
+
+
+def test_directed_and_forced_bounds_match_oracles_on_all_posets_up_to_5():
+    # is_directed is boundedness; forced_join and forced_meet are the least and
+    # greatest common bounds, on every ordered pair, comparable pairs included
+    posets = directed = pairs = forced = 0
+    for p in enumerate_posets(EnumerationFilter(max_elements=5)):
+        rel = relation_from_covers(p.n, p.covers)
+        assert p.is_directed() == is_directed_naive(p.n, rel), p
+        for x in range(p.n):
+            for y in range(p.n):
+                join, meet = forced_join(p, x, y), forced_meet(p, x, y)
+                assert join == least_bound_naive(p.n, rel, x, y, "upper"), (p, x, y)
+                assert meet == least_bound_naive(p.n, rel, x, y, "lower"), (p, x, y)
+                forced += join is not None
+        posets += 1
+        directed += p.is_directed()
+        pairs += p.n ** 2
+    assert posets == 4473
+    assert 0 < directed < posets
+    assert 0 < forced < pairs
 
 
 def test_bits_matches_bit_loop_across_table_boundary():

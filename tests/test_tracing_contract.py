@@ -49,3 +49,24 @@ def test_traced_runs_match_untraced_and_restore_undoes_every_rebinding():
                  "checkers.is_semimodular", "checkers.cond3", "checkers.satisfies_wlcc",
                  "checkers.lemma1_refutes"):
         assert spans[name][2] > 0, name
+
+
+def test_traced_collect_all_runs_match_untraced_through_the_lattice_predicates():
+    # MONO calls lattice.is_monotone and ACUTE calls lattice.acute, both
+    # through the names search imported
+    tracing = _load_tracing()
+    flt = EnumerationFilter(max_elements=4)
+    ids = ("MONO", "ACUTE", "TH1_LCC_CONCLUSION")
+    plain = {tid: _outcome(search.verify(tid, flt, collect_all=True)) for tid in ids}
+    before = _attributes()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer, (search, checkers, lattice, poset, instances))
+    try:
+        traced = {tid: _outcome(search.verify(tid, flt, collect_all=True)) for tid in ids}
+    finally:
+        restore()
+    assert traced == plain
+    assert _attributes() == before
+    spans = tracing.totals(tracer)["spans"]
+    assert spans["lattice.is_monotone"][2] == plain["MONO"][0]["lattices_checked"]
+    assert spans["lattice.acute"][2] == plain["ACUTE"][0]["posets_checked"]
