@@ -44,7 +44,10 @@ def is_semimodular(ll: LambdaLattice) -> Verdict:
     jt, mt = ll.join_table, ll.meet_table
     for x, y, between, ucands in _semimodular_frames(ll):
         for z in _bits(between):
-            if not any(mt[jt[z][u]][x] == z for u in ucands):
+            for u in ucands:
+                if mt[jt[z][u]][x] == z:
+                    break
+            else:
                 return Verdict(False, (x, y, z))
     return HOLDS
 

@@ -6,7 +6,9 @@ class LamlatError(Exception):
 
 
 class ArgumentError(LamlatError, ValueError):
-    """A size or budget argument is below its allowed minimum."""
+    """An argument is malformed: a size or budget below its allowed minimum,
+    an empty poset, labels that are not one distinct string per element, or
+    operation tables that are empty, not square or of the wrong size."""
 
 
 class RangeError(LamlatError):

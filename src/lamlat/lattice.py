@@ -5,13 +5,14 @@ from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
+    ArgumentError,
     BadChoiceError,
     IncompleteChoiceError,
     NotDirectedError,
     RangeError,
     UnboundedError,
 )
-from .poset import Poset, _bits, _check_index, _least
+from .poset import Poset, _bits, _check_index, _least, _positions
 from .verdict import HOLDS, DictRecord, Verdict
 
 Pair = tuple[int, int]
@@ -57,12 +58,12 @@ class AxiomReport(DictRecord):
 def _table(t) -> tuple[tuple[int, ...], ...]:
     n = len(t)
     if n == 0:
-        raise ValueError("an operation table needs at least one element")
+        raise ArgumentError("an operation table needs at least one element")
     rows = []
     for row in t:
         row = tuple(int(v) for v in row)
         if len(row) != n:
-            raise ValueError("operation table must be square")
+            raise ArgumentError("operation table must be square")
         for v in row:
             if not 0 <= v < n:
                 raise RangeError(f"table entry {v} out of range 0..{n - 1}")
@@ -79,7 +80,7 @@ def check_axioms(join, meet) -> AxiomReport:
     """
     jt, mt = _table(join), _table(meet)
     if len(jt) != len(mt):
-        raise ValueError("join and meet tables differ in size")
+        raise ArgumentError("join and meet tables differ in size")
     n = len(jt)
 
     # each identity is stated once over a (join, meet) side tuple; its scan
@@ -133,7 +134,7 @@ class LambdaLattice:
         jt, mt = self.join_table, self.meet_table
         # _table has checked that each table is square with entries in range
         if len(jt) != n or len(mt) != n:
-            raise ValueError("operation tables must be n x n")
+            raise ArgumentError("operation tables must be n x n")
         up = p._up
         base_j, base_m = _base_rows(p)
         for x in range(n):
@@ -187,18 +188,26 @@ class LambdaLattice:
     # ----- transformations -----
 
     def restrict(self, elements) -> "LambdaLattice":
-        """Table restriction to a subset closed under both operations."""
+        """Table restriction to a subset closed under both operations.
+
+        Closure is tested on incomparable pairs only: a comparable pair's
+        join and meet are the pair itself.
+        """
         elems = sorted(set(elements))
         sub = self.poset.restrict(elems)  # checks the indices
-        pos = {e: i for i, e in enumerate(elems)}
+        pos, mask = _positions(self.n, elems)
+        inc = self.poset._incomparable
+        jt, mt = self.join_table, self.meet_table
         for x in elems:
-            for y in elems:
-                if self.join_table[x][y] not in pos or self.meet_table[x][y] not in pos:
+            for y in _bits(inc[x] & mask):
+                if not (mask >> jt[x][y] & 1 and mask >> mt[x][y] & 1):
                     raise ValueError("subset is not closed under the operations")
         # a closed subset keeps the table contract, so no validation is needed
-        jt = tuple(tuple(pos[self.join_table[x][y]] for y in elems) for x in elems)
-        mt = tuple(tuple(pos[self.meet_table[x][y]] for y in elems) for x in elems)
-        return LambdaLattice._from_tables(sub, jt, mt)
+        return LambdaLattice._from_tables(
+            sub,
+            tuple([tuple([pos[jt[x][y]] for y in elems]) for x in elems]),
+            tuple([tuple([pos[mt[x][y]] for y in elems]) for x in elems]),
+        )
 
     def relabel(self, perm: Sequence[int]) -> "LambdaLattice":
         n = self.n
@@ -374,10 +383,10 @@ def is_lattice(ll: LambdaLattice) -> bool:
     """Join is always the least upper bound and meet the greatest lower bound."""
     p = ll.poset
     jt, mt = ll.join_table, ll.meet_table
-    return all(
-        jt[x][y] == lub and mt[x][y] == glb
-        for (x, y), (lub, glb) in zip(p.incomparable_pairs, p._least_bounds)
-    )
+    for (x, y), (lub, glb) in zip(p.incomparable_pairs, p._least_bounds):
+        if jt[x][y] != lub or mt[x][y] != glb:
+            return False
+    return True
 
 
 def _monotone_failure(ll: LambdaLattice, tables) -> tuple[int, int, int] | None:

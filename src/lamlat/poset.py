@@ -6,7 +6,14 @@ from itertools import permutations
 from operator import and_
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CycleError, InvalidOrderError, NoTopError, RangeError, UnboundedError
+from .errors import (
+    ArgumentError,
+    CycleError,
+    InvalidOrderError,
+    NoTopError,
+    RangeError,
+    UnboundedError,
+)
 from .verdict import HOLDS, Verdict
 
 
@@ -38,12 +45,14 @@ def _check_index(n: int, x) -> None:
 
 
 def _least(bounds: int, toward: Sequence[int]) -> int | None:
-    """The member of bounds whose toward row holds all of bounds, if any.
+    """The least member of bounds along the toward rows, if any.
 
-    Up-set rows give the least member, down-set rows the greatest; on a
-    finite carrier that is also the unique minimal (maximal) member.
+    bounds must be an intersection of toward rows: with up-set rows it is
+    an up-set, and an up-set has a least member e exactly when it equals
+    up[e] (dually, down-set rows give the greatest member). On a finite
+    carrier that is also the unique minimal (maximal) member.
     """
-    return next((e for e in _bits(bounds) if not bounds & ~toward[e]), None)
+    return toward.index(bounds) if bounds in toward else None
 
 
 def _permuted(up: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
@@ -57,6 +66,16 @@ def _permuted(up: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _positions(n: int, elems: Sequence[int]) -> tuple[list[int], int]:
+    """Per element its index in the sorted elems (0 for non-members), and elems as a mask."""
+    pos = [0] * n
+    mask = 0
+    for i, e in enumerate(elems):
+        pos[e] = i
+        mask |= 1 << e
+    return pos, mask
+
+
 def _validate_order(n: int, up: Sequence[int]) -> None:
     for i in range(n):
         if not up[i] >> i & 1:
@@ -67,6 +86,18 @@ def _validate_order(n: int, up: Sequence[int]) -> None:
                 raise CycleError(f"antisymmetry fails between {i} and {j}")
             if up[j] & ~up[i]:
                 raise InvalidOrderError(f"transitivity fails through {i} <= {j}")
+
+
+def _checked_labels(n: int, labels: Sequence[str] | None) -> tuple[str, ...] | None:
+    """Labels as strings, one per element and pairwise distinct."""
+    if labels is None:
+        return None
+    labels = tuple(str(s) for s in labels)
+    if len(labels) != n:
+        raise ArgumentError("labels must match the element count")
+    if len(set(labels)) != n:
+        raise ArgumentError("labels must be unique")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -92,7 +123,7 @@ class Poset:
     def __init__(self, leq: Sequence[Sequence[object]], labels: Sequence[str] | None = None):
         n = len(leq)
         if n == 0:
-            raise ValueError("a poset needs at least one element")
+            raise ArgumentError("a poset needs at least one element")
         up = []
         for row in leq:
             row = list(row)
@@ -104,24 +135,14 @@ class Poset:
                     mask |= 1 << j
             up.append(mask)
         _validate_order(n, up)
-        self._init(n, tuple(up), labels)
-
-    def _init(self, n: int, up: tuple[int, ...], labels) -> None:
-        self.n = n
-        self._up = up
-        if labels is not None:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != n:
-                raise ValueError("labels must match the element count")
-            if len(set(labels)) != n:
-                raise ValueError("labels must be unique")
-        self.labels = labels
+        self.n, self._up, self.labels = n, tuple(up), _checked_labels(n, labels)
 
     @classmethod
     def _from_masks(cls, n: int, up: Sequence[int], labels=None) -> "Poset":
         # trusted path for generators; skips matrix validation
         p = cls.__new__(cls)
-        p._init(n, tuple(up), labels)
+        p.n, p._up = n, tuple(up)
+        p.labels = None if labels is None else _checked_labels(n, labels)
         return p
 
     @classmethod
@@ -129,7 +150,7 @@ class Poset:
                     labels: Sequence[str] | None = None) -> "Poset":
         """Reflexive-transitive closure of a cover list; rejects cyclic input."""
         if n < 1:
-            raise ValueError("a poset needs at least one element")
+            raise ArgumentError("a poset needs at least one element")
         up = [1 << i for i in range(n)]
         for a, b in covers:
             _check_index(n, a)
@@ -264,12 +285,23 @@ class Poset:
 
     @_cached
     def heights(self) -> tuple[int, ...]:
-        """h(x) for every x: length of a longest chain from the bottom to x."""
+        """h(x) for every x: length of a longest chain from the bottom to x.
+
+        Level k holds the elements that end a strict chain of length k from
+        the bottom: level 1 is the bottom's strict up-set, and level k + 1
+        the union of the strict up-sets of level k. h(x) is x's last level.
+        """
         if self.bottom is None:
             raise UnboundedError("heights need a bottom element")
+        strict = [row & ~(1 << x) for x, row in enumerate(self._up)]
         h = [0] * self.n
-        for x in sorted(range(self.n), key=lambda i: self._down[i].bit_count()):
-            h[x] = max((h[y] + 1 for y in _bits(self._covers_below[x])), default=0)
+        level, k = strict[self.bottom], 1
+        while level:
+            above = 0
+            for x in _bits(level):
+                h[x] = k
+                above |= strict[x]
+            level, k = above, k + 1
         return tuple(h)
 
     def height(self, x: int) -> int:
@@ -351,27 +383,27 @@ class Poset:
     def _incomparable(self) -> tuple[int, ...]:
         # per element: the mask of elements incomparable to it
         full = (1 << self.n) - 1
-        return tuple(full & ~(u | d) for u, d in zip(self._up, self._down))
+        return tuple([full & ~(u | d) for u, d in zip(self._up, self._down)])
 
     @_cached
     def _incomparable_cells(self) -> tuple[tuple[int, int], ...]:
         # every ordered pair (x, y) with x || y, ascending by x and then by y
         inc = self._incomparable
-        return tuple((x, y) for x in range(self.n) for y in _bits(inc[x]))
+        return tuple([(x, y) for x in range(self.n) for y in _bits(inc[x])])
 
     @_cached
     def incomparable_pairs(self) -> tuple[tuple[int, int], ...]:
         """Pairs (x, y) with x < y as indices and x, y order-incomparable."""
-        return tuple((x, y) for x, y in self._incomparable_cells if x < y)
+        return tuple([(x, y) for x, y in self._incomparable_cells if x < y])
 
     @_cached
     def _least_bounds(self) -> tuple[tuple[int | None, int | None], ...]:
         # per incomparable pair: least upper and greatest lower bound, None where missing
         up, down = self._up, self._down
-        return tuple(
+        return tuple([
             (_least(up[x] & up[y], up), _least(down[x] & down[y], down))
             for x, y in self.incomparable_pairs
-        )
+        ])
 
     def atoms(self) -> frozenset[int]:
         """Covers of the bottom element."""
@@ -408,14 +440,13 @@ class Poset:
             raise ValueError("a restriction needs at least one element")
         for x in elems:
             _check_index(self.n, x)
-        pos = {e: i for i, e in enumerate(elems)}
+        pos, mask = _positions(self.n, elems)
         up = []
         for e in elems:
-            mask = 0
-            for j in _bits(self._up[e]):
-                if j in pos:
-                    mask |= 1 << pos[j]
-            up.append(mask)
+            row = 0
+            for j in _bits(self._up[e] & mask):
+                row |= 1 << pos[j]
+            up.append(row)
         labels = tuple(self.label(e) for e in elems) if self.labels is not None else None
         return Poset._from_masks(len(elems), up, labels)
 

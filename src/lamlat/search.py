@@ -84,7 +84,7 @@ def _extension_stream(n: int) -> Iterator[tuple[int, ...]]:
             allowed = bit - 1
             for i in _bits(d):
                 allowed &= up[i] & ~(1 << i)
-            base = tuple(row | bit if d >> i & 1 else row for i, row in enumerate(up))
+            base = tuple([row | bit if d >> i & 1 else row for i, row in enumerate(up)])
             for u in ups:
                 if u & ~allowed:
                     continue
@@ -173,17 +173,19 @@ def enumerate_completions(
 
     The stream is the Cartesian product over incomparable pairs of all
     common upper bounds times all common lower bounds, in sorted pair
-    and bound order; a poset that is not directed raises
-    NotDirectedError. The budget is decided before anything is built:
+    and bound order. A poset that is not directed raises
+    NotDirectedError: on a finite carrier that is an incomparable pair
+    with no common upper or no common lower bound, so an empty option
+    list. The budget is decided before anything is built:
     BudgetError when the product exceeds it (None means no limit); it
     never samples. Comparable cells take max and min once per poset; each
     completion writes only its incomparable cells, whose options are bits
     of the bound masks and so legal by construction, and is built trusted.
     """
-    if not p.is_directed():
-        raise NotDirectedError("completions need a directed poset")
     pairs = p.incomparable_pairs
     options = _completion_options(p)
+    if not all(options):
+        raise NotDirectedError("completions need a directed poset")
     if budget is not None:
         total = prod(map(len, options))
         if total > budget:
@@ -230,8 +232,13 @@ def _concl_lemma1(ll) -> Verdict:
 def _concl_convex_restrictions_semimodular(ll) -> Verdict:
     inc = ll.poset._incomparable
     for subset in convex_closed_subsets(ll):
-        mask = sum(1 << x for x in subset)
-        if not any(inc[x] & mask for x in subset):
+        mask = 0
+        for x in subset:
+            mask |= 1 << x
+        for x in subset:
+            if inc[x] & mask:
+                break
+        else:
             continue  # a chain has no incomparable pair, so no semimodularity frame
         v = checkers.is_semimodular(ll.restrict(subset))
         if not v.holds:

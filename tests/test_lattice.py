@@ -295,6 +295,12 @@ def test_restrict_requires_closure():
         ll.restrict({1, 2})  # join(a, b) = d escapes
 
 
+def test_restrict_requires_meet_closure_too():
+    ll = fixture("FIG2")
+    with pytest.raises(ValueError, match="not closed"):
+        ll.restrict({1, 2, 4})  # joins stay inside, meet(a, b) = 0 escapes
+
+
 def test_restrict_and_forced_bounds_reject_bad_indices():
     ll = fixture("FIG3")
     for subset in ([6], [-1], [0, 6]):

@@ -267,6 +267,24 @@ def test_sizes_and_budgets_below_one_rejected(call):
     assert isinstance(err.value, LamlatError) and isinstance(err.value, ValueError)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Poset([]), "a poset needs at least one element"),
+    (lambda: Poset.from_covers(0, []), "a poset needs at least one element"),
+    (lambda: Poset([[1, 1], [0, 1]], labels=("a",)), "labels must match the element count"),
+    (lambda: Poset.from_covers(2, [(0, 1)], labels=("a", "a")), "labels must be unique"),
+    (lambda: check_axioms([], []), "an operation table needs at least one element"),
+    (lambda: check_axioms([[0, 1]], [[0]]), "operation table must be square"),
+    (lambda: check_axioms([[0]], [[0, 0], [0, 1]]), "join and meet tables differ in size"),
+    (lambda: LambdaLattice(Poset([[1, 1], [0, 1]]), [[0]], [[0]]),
+     "operation tables must be n x n"),
+])
+def test_malformed_posets_labels_and_tables_raise_argument_error(call, message):
+    with pytest.raises(ArgumentError) as err:
+        call()
+    assert isinstance(err.value, LamlatError) and isinstance(err.value, ValueError)
+    assert str(err.value) == message
+
+
 def test_unbudgeted_completions_allowed():
     assert len(list(enumerate_completions(fixture_poset("FIG3"), budget=None))) == 9
 

@@ -70,3 +70,25 @@ def test_traced_collect_all_runs_match_untraced_through_the_lattice_predicates()
     spans = tracing.totals(tracer)["spans"]
     assert spans["lattice.is_monotone"][2] == plain["MONO"][0]["lattices_checked"]
     assert spans["lattice.acute"][2] == plain["ACUTE"][0]["posets_checked"]
+
+
+def test_traced_height_and_th2_runs_match_untraced():
+    # HEIGHT reads Poset.heights and TH2 reaches cond4, cond5 and the LCC
+    tracing = _load_tracing()
+    flt = EnumerationFilter(max_elements=4)
+    ids = ("HEIGHT", "TH2")
+    plain = {tid: _outcome(search.verify(tid, flt, collect_all=True)) for tid in ids}
+    before = _attributes()
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer, (search, checkers, lattice, poset, instances))
+    try:
+        traced = {tid: _outcome(search.verify(tid, flt, collect_all=True)) for tid in ids}
+    finally:
+        restore()
+    assert traced == plain
+    assert _attributes() == before
+    spans = tracing.totals(tracer)["spans"]
+    for name in ("checkers.satisfies_lcc", "checkers.height_inequality", "checkers.cond4",
+                 "checkers.cond5"):
+        assert spans[name][2] > 0, name
+    assert tracer.cells["poset.Poset.is_directed"] == [0]  # the stream checks its options
