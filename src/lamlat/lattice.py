@@ -1,7 +1,8 @@
 """Lambda-lattice algebras: operation tables, axiom checks, completions of directed posets."""
 
 from dataclasses import dataclass, field
-from itertools import product
+from functools import lru_cache
+from itertools import product, repeat
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -300,14 +301,27 @@ def _check_bound(p: Poset, op: str, x: int, y: int, v) -> None:
         )
 
 
+@lru_cache(maxsize=1 << 14)  # n <= 7 has fewer keys; the bound stops large inputs growing it
+def _base_row(n: int, x: int, up: int, down: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # x's join and meet rows, which depend only on the elements above and below x
+    j, m = [0] * n, [0] * n
+    for y in _bits(up):
+        j[y], m[y] = y, x
+    for y in _bits(down):
+        j[y], m[y] = x, y
+    return tuple(j), tuple(m)
+
+
 def _base_rows(p: Poset) -> tuple[list[list[int]], list[list[int]]]:
-    """Join and meet rows with max and min on comparable pairs, 0 on incomparable ones."""
+    """Join and meet rows with max and min on comparable pairs, 0 on incomparable ones.
+
+    The rows are fresh lists, copied from cached tuples, so callers may write to them.
+    """
     n = p.n
-    jt, mt = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in _bits(p._up[x]):
-            jt[x][y] = jt[y][x] = y
-            mt[x][y] = mt[y][x] = x
+    jt, mt = [], []
+    for j, m in map(_base_row, repeat(n), range(n), p._up, p._down):
+        jt.append(list(j))
+        mt.append(list(m))
     return jt, mt
 
 

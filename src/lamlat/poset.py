@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import permutations
 from operator import and_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     ArgumentError,
@@ -518,6 +518,92 @@ class Poset:
     def __repr__(self) -> str:
         pairs = " ".join(f"{self.label(x)}<{self.label(y)}" for x, y in self.covers)
         return f"Poset(n={self.n}, covers=[{pairs}])"
+
+
+class _MiddleKit(NamedTuple):
+    """What a bounded poset reads from its middle poset, taken from the generic properties.
+
+    minimal is the mask of the middle's minimal elements.
+    """
+
+    down: tuple[int, ...]
+    incomparable: tuple[int, ...]
+    cells: tuple[tuple[int, int], ...]
+    covers_above: tuple[int, ...]
+    minimal: int
+
+
+def _middle_kit(q: Poset) -> _MiddleKit:
+    minimal = 0
+    for x, row in enumerate(q._covers_below):
+        if not row:
+            minimal |= 1 << x
+    return _MiddleKit(q._down, q._incomparable, q._incomparable_cells, q._covers_above, minimal)
+
+
+class _BoundedPoset(Poset):
+    """A bounded poset that answers its order queries from its middle poset.
+
+    The middle is the order strictly between bottom and top, on the
+    remaining elements in increasing order. block is (bottom, top, middle,
+    carrier), where carrier[m] is the top plus the elements that the
+    middle mask m selects by middle position; kit is the middle's
+    _MiddleKit. Each row is then one carrier lookup, computed on first use;
+    every override equals the Poset property it replaces.
+    """
+
+    @classmethod
+    def _from_block(cls, n: int, up: tuple[int, ...], block: tuple,
+                    kit: _MiddleKit) -> "_BoundedPoset":
+        # trusted path for the bounded stream; up must be the rows the block and kit describe
+        p = cls.__new__(cls)
+        p.n, p._up, p.labels, p._block, p._kit = n, up, None, block, kit
+        return p
+
+    @_cached
+    def bottom(self) -> int:
+        return self._block[0]
+
+    @_cached
+    def top(self) -> int:
+        return self._block[1]
+
+    @_cached
+    def _down(self) -> tuple[int, ...]:
+        b, t, middle, carrier = self._block
+        out = [0] * self.n
+        out[b], out[t] = 1 << b, (1 << self.n) - 1
+        swap = carrier[0] | 1 << b  # drop the top, add the bottom
+        for e, row in zip(middle, self._kit.down):
+            out[e] = carrier[row] ^ swap
+        return tuple(out)
+
+    @_cached
+    def _incomparable(self) -> tuple[int, ...]:
+        _, _, middle, carrier = self._block
+        out = [0] * self.n
+        tb = carrier[0]
+        for e, row in zip(middle, self._kit.incomparable):
+            out[e] = carrier[row] ^ tb
+        return tuple(out)
+
+    @_cached
+    def _incomparable_cells(self) -> tuple[tuple[int, int], ...]:
+        middle = self._block[2]  # increasing, so the cells keep their order
+        return tuple([(middle[x], middle[y]) for x, y in self._kit.cells])
+
+    @_cached
+    def _covers_above(self) -> tuple[int, ...]:
+        # the bottom is covered by the middle's minimal elements and the top
+        # covers its maximal ones; with an empty middle the top covers the bottom
+        b, _, middle, carrier = self._block
+        out = [0] * self.n
+        tb = carrier[0]
+        minimal = self._kit.minimal
+        out[b] = carrier[minimal] ^ tb if minimal else tb
+        for e, row in zip(middle, self._kit.covers_above):
+            out[e] = carrier[row] ^ tb if row else tb
+        return tuple(out)
 
 
 def mk_poset(k: int, labels: Sequence[str] | None = None) -> Poset:

@@ -8,7 +8,7 @@ a proof of the general case; results say so explicitly.
 
 import time
 from dataclasses import dataclass, replace
-from itertools import permutations, product
+from itertools import permutations, product, repeat
 from math import prod
 from typing import Callable, Iterator
 
@@ -26,7 +26,7 @@ from .lattice import (
     is_modular,
     is_monotone,
 )
-from .poset import Poset, _bits
+from .poset import Poset, _bits, _BoundedPoset, _middle_kit, _MiddleKit
 from .verdict import HOLDS, Verdict
 
 HARD_MAX_ELEMENTS = 7
@@ -65,7 +65,9 @@ class EnumerationFilter:
 # poset is produced exactly once and no dedupe pass is needed.
 
 _POSET_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}
-_BOUNDED_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}
+# n -> (sorted rows, blocks, per sorted row its position in build order)
+_BOUNDED_CACHE: dict[int, tuple] = {}
+_MIDDLE_KITS: dict[int, tuple[_MiddleKit, ...]] = {}
 _CACHE_LIMIT = 6  # n=7 streams are large; recompute instead of holding them
 
 
@@ -107,33 +109,66 @@ def _all_masks(n: int) -> tuple[tuple[int, ...], ...]:
     return out
 
 
+def _bounded_blocks(n: int) -> list[tuple[int, int, list[int], list[int]]]:
+    """Per (bottom, top) pair: bottom, top, the other elements ascending, and the carrier table.
+
+    A bounded labeled poset on n > 1 elements decomposes uniquely into a
+    bottom, a top and an arbitrary poset on the remaining labels, its
+    middle. carrier[m] is the carrier row of a middle row m: the top plus
+    the labels that m selects by middle position.
+    """
+    blocks = []
+    for b, t in permutations(range(n), 2):
+        middle = [e for e in range(n) if e not in (b, t)]
+        carrier = [1 << t] * (1 << (n - 2))
+        for m in range(1, len(carrier)):
+            low = m & -m
+            carrier[m] = carrier[m ^ low] | 1 << middle[low.bit_length() - 1]
+        blocks.append((b, t, middle, carrier))
+    return blocks
+
+
 def _bounded_masks(n: int) -> tuple[tuple[int, ...], ...]:
-    # a bounded labeled poset decomposes uniquely into bottom, top and an
-    # arbitrary poset on the remaining labels; per (bottom, top) pair one
-    # table carries each middle-row mask to its carrier row, the top included
+    # one row tuple per block and middle poset, sorted; cached sizes also keep
+    # the blocks and, per sorted position, the build position it came from
     if n in _BOUNDED_CACHE:
-        return _BOUNDED_CACHE[n]
+        return _BOUNDED_CACHE[n][0]
     if n == 1:
-        out: tuple = ((1,),)
-    else:
-        rows = []
-        full = (1 << n) - 1
-        for b, t in permutations(range(n), 2):
-            middle = [e for e in range(n) if e not in (b, t)]
-            carrier = [1 << t] * (1 << (n - 2))
-            for m in range(1, len(carrier)):
-                low = m & -m
-                carrier[m] = carrier[m ^ low] | 1 << middle[low.bit_length() - 1]
-            up = [0] * n
-            up[b], up[t] = full, 1 << t
-            for mid_up in _all_masks(n - 2):
-                for e, row in zip(middle, mid_up):
-                    up[e] = carrier[row]
-                rows.append(tuple(up))
-        out = tuple(sorted(rows))
-    if n <= _CACHE_LIMIT:
-        _BOUNDED_CACHE[n] = out
-    return out
+        return ((1,),)
+    full = (1 << n) - 1
+    blocks = _bounded_blocks(n)
+    rows = []
+    for b, t, middle, carrier in blocks:
+        up = [0] * n
+        up[b], up[t] = full, 1 << t
+        for mid_up in _all_masks(n - 2):
+            for e, row in zip(middle, mid_up):
+                up[e] = carrier[row]
+            rows.append(tuple(up))
+    if n > _CACHE_LIMIT:
+        return tuple(sorted(rows))
+    order = tuple(sorted(range(len(rows)), key=rows.__getitem__))
+    _BOUNDED_CACHE[n] = (tuple([rows[i] for i in order]), blocks, order)
+    return _BOUNDED_CACHE[n][0]
+
+
+def _middle_kits(k: int) -> tuple[_MiddleKit, ...]:
+    """One _MiddleKit per labeled poset on k elements, in _all_masks order; built once."""
+    if k not in _MIDDLE_KITS:
+        _MIDDLE_KITS[k] = tuple([_middle_kit(Poset._from_masks(k, up)) for up in _all_masks(k)])
+    return _MIDDLE_KITS[k]
+
+
+def _bounded_posets(n: int) -> Iterator[Poset]:
+    # cached sizes yield posets that answer from their middle, the others plain ones
+    rows = _bounded_masks(n)
+    if n not in _BOUNDED_CACHE:
+        return map(Poset._from_masks, repeat(n), rows)
+    _, blocks, order = _BOUNDED_CACHE[n]
+    kits = _middle_kits(n - 2)
+    per_block = len(kits)
+    return (_BoundedPoset._from_block(n, up, blocks[i // per_block], kits[i % per_block])
+            for up, i in zip(rows, order))
 
 
 def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:
@@ -149,12 +184,11 @@ def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:
             required=f.max_elements,
         )
     for n in range(1, f.max_elements + 1):
-        masks = _bounded_masks(n) if f.require_bounded else _all_masks(n)
-        for up in masks:
-            p = Poset._from_masks(n, up)
-            if f.canonical_only and not p.is_canonical():
-                continue
-            yield p
+        if f.require_bounded:
+            posets = _bounded_posets(n)
+        else:
+            posets = map(Poset._from_masks, repeat(n), _all_masks(n))
+        yield from filter(Poset.is_canonical, posets) if f.canonical_only else posets
 
 
 def _completion_options(p: Poset) -> list[list[tuple[int, int]]]:

@@ -26,6 +26,14 @@ def completions_upto5():
     return out
 
 
+@pytest.fixture(scope="session")
+def bounded_upto6():
+    """Every bounded labeled poset with at most 6 elements, in stream order."""
+    out = list(enumerate_posets(EnumerationFilter(max_elements=6, require_bounded=True)))
+    assert len(out) == 6995
+    return out
+
+
 def idx(instance, name):
     """Element index by display label."""
     return instance.labels.index(name)

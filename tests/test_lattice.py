@@ -28,7 +28,8 @@ from lamlat import (
     is_monotone,
     mk_poset,
 )
-from lamlat.fixtures import fixture, fixture_poset
+from lamlat.fixtures import FIXTURE_NAMES, fixture, fixture_poset
+from lamlat.lattice import _base_rows
 from lamlat.verdict import HOLDS
 
 from oracles import (
@@ -41,6 +42,37 @@ from oracles import (
 
 def boolean_2x2():
     return from_choice(mk_poset(2))
+
+
+def test_base_rows_match_oracle_up_to_5_and_fixtures():
+    # max and min on comparable pairs, 0 on incomparable ones
+    posets = list(enumerate_posets(EnumerationFilter(max_elements=5)))
+    posets += [fixture_poset(name) for name in FIXTURE_NAMES]
+    for p in posets:
+        rel = relation_from_covers(p.n, p.covers)
+        jt, mt = _base_rows(p)
+        for x in range(p.n):
+            for y in range(p.n):
+                if (x, y) in rel:
+                    expected = (y, x)
+                elif (y, x) in rel:
+                    expected = (x, y)
+                else:
+                    expected = (0, 0)
+                assert (jt[x][y], mt[x][y]) == expected, (p, x, y)
+    assert len(posets) == 4473 + len(FIXTURE_NAMES)
+
+
+def test_base_rows_are_fresh_lists(bounded_upto6):
+    # callers write the incomparable cells into the rows they get
+    for p in (fixture_poset("FIG2"), *bounded_upto6[-50:]):
+        jt, mt = _base_rows(p)
+        before = [tuple(row) for row in jt + mt]
+        for row in jt + mt:
+            assert type(row) is list
+            row[:] = [-1] * p.n
+        jt, mt = _base_rows(p)
+        assert [tuple(row) for row in jt + mt] == before, p
 
 
 def test_check_axioms_fixtures_pass(fixtures):

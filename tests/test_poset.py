@@ -17,7 +17,7 @@ from lamlat import (
     mk_poset,
 )
 from lamlat.fixtures import FIXTURE_NAMES, fixture_poset
-from lamlat.poset import _bits
+from lamlat.poset import _bits, _BoundedPoset
 from lamlat.search import THEOREMS
 
 from oracles import (
@@ -296,6 +296,27 @@ def test_heights_match_oracle_on_every_poset_with_a_bottom_up_to_5_and_fixtures(
         assert list(p.heights) == _heights(p.n, relation_from_covers(p.n, p.covers)), p
     assert len(posets) == 1183 + len(FIXTURE_NAMES)
     assert max(max(p.heights) for p in posets) == 4
+
+
+def test_bounded_stream_posets_answer_like_plain_posets_up_to_6(bounded_upto6):
+    # the bounded stream's posets answer from their middle poset; each
+    # override must equal the generic property of the same order rows
+    overrides = ("bottom", "top", "_down", "_incomparable", "_incomparable_cells",
+                 "_covers_above")
+    assert set(overrides) <= set(vars(_BoundedPoset))
+    # bench/tracing.py rebinds these on Poset, so the stream must inherit them
+    assert not {"leq", "is_directed", "maximal_chains_to_top", "has_lu_covering"} & set(
+        vars(_BoundedPoset))
+    from_middle = 0
+    for p in bounded_upto6:
+        q = Poset._from_masks(p.n, p._up)
+        for name in overrides:
+            assert getattr(p, name) == getattr(q, name), (p, name)
+        assert (p.covers, p.heights) == (q.covers, q.heights), p
+        assert (p.atoms(), p.coatoms(), p.bounds()) == (q.atoms(), q.coatoms(), q.bounds()), p
+        assert p == q and q == p and hash(p) == hash(q), p
+        from_middle += isinstance(p, _BoundedPoset)
+    assert from_middle == 6995 - 1  # all but the one-element poset
 
 
 def test_bits_matches_bit_loop_across_table_boundary():

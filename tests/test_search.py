@@ -25,7 +25,7 @@ from lamlat import (
 from lamlat import checkers
 from lamlat.fixtures import fixture, fixture_poset
 from lamlat.poset import _validate_order
-from lamlat.search import THEOREMS, _all_masks, _bounded_masks
+from lamlat.search import _BOUNDED_CACHE, _CACHE_LIMIT, THEOREMS, _all_masks, _bounded_masks
 from lamlat.verdict import HOLDS
 
 from oracles import (
@@ -82,6 +82,21 @@ def test_labeled_streams_at_six_are_valid_sorted_and_decompose():
         )
         assert len(expected) == count
         assert _bounded_masks(n) == expected
+
+
+def test_bounded_stream_at_seven_stays_plain_and_sorted(bounded_upto6):
+    # sizes above the cache limit are built, sorted and streamed as plain
+    # posets, and nothing but the cached sizes keeps a sort permutation
+    stream = enumerate_posets(EnumerationFilter(max_elements=7, require_bounded=True))
+    assert [next(stream) for _ in bounded_upto6] == bounded_upto6
+    count, last = 0, ()
+    for p in stream:
+        assert p.n == 7 and type(p) is Poset
+        assert p._up > last
+        count, last = count + 1, p._up
+    assert count == 42 * 4231 == 177702  # n(n-1) A001035(n-2)
+    assert _CACHE_LIMIT == 6
+    assert set(_BOUNDED_CACHE) <= set(range(1, _CACHE_LIMIT + 1))
 
 
 def test_bounded_n2_is_two_labeled_chains():
