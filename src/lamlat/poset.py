@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import permutations
 from operator import and_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ArgumentError,
@@ -520,44 +520,25 @@ class Poset:
         return f"Poset(n={self.n}, covers=[{pairs}])"
 
 
-class _MiddleKit(NamedTuple):
-    """What a bounded poset reads from its middle poset, taken from the generic properties.
-
-    minimal is the mask of the middle's minimal elements.
-    """
-
-    down: tuple[int, ...]
-    incomparable: tuple[int, ...]
-    cells: tuple[tuple[int, int], ...]
-    covers_above: tuple[int, ...]
-    minimal: int
-
-
-def _middle_kit(q: Poset) -> _MiddleKit:
-    minimal = 0
-    for x, row in enumerate(q._covers_below):
-        if not row:
-            minimal |= 1 << x
-    return _MiddleKit(q._down, q._incomparable, q._incomparable_cells, q._covers_above, minimal)
-
-
 class _BoundedPoset(Poset):
     """A bounded poset that answers its order queries from its middle poset.
 
-    The middle is the order strictly between bottom and top, on the
-    remaining elements in increasing order. block is (bottom, top, middle,
-    carrier), where carrier[m] is the top plus the elements that the
-    middle mask m selects by middle position; kit is the middle's
-    _MiddleKit. Each row is then one carrier lookup, computed on first use;
-    every override equals the Poset property it replaces.
+    The middle is a plain Poset on the elements strictly between bottom
+    and top, in increasing order; the bounded stream shares it among all
+    its (bottom, top) blocks, so its own cached properties are computed
+    once, on first use. block is (bottom, top, middle elements, carrier),
+    where carrier[m] is the top plus the elements that the middle mask m
+    selects by middle position. Each row is then one carrier lookup of
+    the middle's row, computed on first use; every override equals the
+    Poset property it replaces.
     """
 
     @classmethod
     def _from_block(cls, n: int, up: tuple[int, ...], block: tuple,
-                    kit: _MiddleKit) -> "_BoundedPoset":
-        # trusted path for the bounded stream; up must be the rows the block and kit describe
+                    middle: Poset) -> "_BoundedPoset":
+        # trusted path for the bounded stream; up must be the rows the block and middle describe
         p = cls.__new__(cls)
-        p.n, p._up, p.labels, p._block, p._kit = n, up, None, block, kit
+        p.n, p._up, p.labels, p._block, p._middle = n, up, None, block, middle
         return p
 
     @_cached
@@ -574,7 +555,7 @@ class _BoundedPoset(Poset):
         out = [0] * self.n
         out[b], out[t] = 1 << b, (1 << self.n) - 1
         swap = carrier[0] | 1 << b  # drop the top, add the bottom
-        for e, row in zip(middle, self._kit.down):
+        for e, row in zip(middle, self._middle._down):
             out[e] = carrier[row] ^ swap
         return tuple(out)
 
@@ -583,26 +564,29 @@ class _BoundedPoset(Poset):
         _, _, middle, carrier = self._block
         out = [0] * self.n
         tb = carrier[0]
-        for e, row in zip(middle, self._kit.incomparable):
+        for e, row in zip(middle, self._middle._incomparable):
             out[e] = carrier[row] ^ tb
         return tuple(out)
 
     @_cached
     def _incomparable_cells(self) -> tuple[tuple[int, int], ...]:
         middle = self._block[2]  # increasing, so the cells keep their order
-        return tuple([(middle[x], middle[y]) for x, y in self._kit.cells])
+        return tuple([(middle[x], middle[y]) for x, y in self._middle._incomparable_cells])
 
     @_cached
     def _covers_above(self) -> tuple[int, ...]:
-        # the bottom is covered by the middle's minimal elements and the top
-        # covers its maximal ones; with an empty middle the top covers the bottom
+        # the top covers the middle's maximal elements and the bottom is
+        # covered by its minimal ones, which no middle cover row holds; with
+        # an empty middle the top covers the bottom
         b, _, middle, carrier = self._block
         out = [0] * self.n
         tb = carrier[0]
-        minimal = self._kit.minimal
-        out[b] = carrier[minimal] ^ tb if minimal else tb
-        for e, row in zip(middle, self._kit.covers_above):
+        covered = 0
+        for e, row in zip(middle, self._middle._covers_above):
             out[e] = carrier[row] ^ tb if row else tb
+            covered |= row
+        minimal = (len(carrier) - 1) & ~covered
+        out[b] = carrier[minimal] ^ tb if minimal else tb
         return tuple(out)
 
 

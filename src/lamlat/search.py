@@ -8,8 +8,10 @@ a proof of the general case; results say so explicitly.
 
 import time
 from dataclasses import dataclass, replace
+from heapq import merge
 from itertools import permutations, product, repeat
 from math import prod
+from operator import attrgetter
 from typing import Callable, Iterator
 
 from . import checkers
@@ -26,7 +28,7 @@ from .lattice import (
     is_modular,
     is_monotone,
 )
-from .poset import Poset, _bits, _BoundedPoset, _middle_kit, _MiddleKit
+from .poset import Poset, _bits, _BoundedPoset
 from .verdict import HOLDS, Verdict
 
 HARD_MAX_ELEMENTS = 7
@@ -65,10 +67,7 @@ class EnumerationFilter:
 # poset is produced exactly once and no dedupe pass is needed.
 
 _POSET_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}
-# n -> (sorted rows, blocks, per sorted row its position in build order)
-_BOUNDED_CACHE: dict[int, tuple] = {}
-_MIDDLE_KITS: dict[int, tuple[_MiddleKit, ...]] = {}
-_CACHE_LIMIT = 6  # n=7 streams are large; recompute instead of holding them
+_CACHE_LIMIT = 6  # _all_masks(7) is large; recompute it instead of holding it
 
 
 def _extension_stream(n: int) -> Iterator[tuple[int, ...]]:
@@ -109,66 +108,40 @@ def _all_masks(n: int) -> tuple[tuple[int, ...], ...]:
     return out
 
 
-def _bounded_blocks(n: int) -> list[tuple[int, int, list[int], list[int]]]:
-    """Per (bottom, top) pair: bottom, top, the other elements ascending, and the carrier table.
+def _block_posets(n: int, b: int, t: int, middles: list[Poset]) -> Iterator[_BoundedPoset]:
+    """Bounded posets with bottom b and top t, one per middle poset, in middle order.
 
     A bounded labeled poset on n > 1 elements decomposes uniquely into a
     bottom, a top and an arbitrary poset on the remaining labels, its
     middle. carrier[m] is the carrier row of a middle row m: the top plus
-    the labels that m selects by middle position.
+    the labels that m selects by middle position. It is increasing in m,
+    so with the bottom and top rows fixed the rows ascend with the middles.
     """
-    blocks = []
-    for b, t in permutations(range(n), 2):
-        middle = [e for e in range(n) if e not in (b, t)]
-        carrier = [1 << t] * (1 << (n - 2))
-        for m in range(1, len(carrier)):
-            low = m & -m
-            carrier[m] = carrier[m ^ low] | 1 << middle[low.bit_length() - 1]
-        blocks.append((b, t, middle, carrier))
-    return blocks
-
-
-def _bounded_masks(n: int) -> tuple[tuple[int, ...], ...]:
-    # one row tuple per block and middle poset, sorted; cached sizes also keep
-    # the blocks and, per sorted position, the build position it came from
-    if n in _BOUNDED_CACHE:
-        return _BOUNDED_CACHE[n][0]
-    if n == 1:
-        return ((1,),)
-    full = (1 << n) - 1
-    blocks = _bounded_blocks(n)
-    rows = []
-    for b, t, middle, carrier in blocks:
-        up = [0] * n
-        up[b], up[t] = full, 1 << t
-        for mid_up in _all_masks(n - 2):
-            for e, row in zip(middle, mid_up):
-                up[e] = carrier[row]
-            rows.append(tuple(up))
-    if n > _CACHE_LIMIT:
-        return tuple(sorted(rows))
-    order = tuple(sorted(range(len(rows)), key=rows.__getitem__))
-    _BOUNDED_CACHE[n] = (tuple([rows[i] for i in order]), blocks, order)
-    return _BOUNDED_CACHE[n][0]
-
-
-def _middle_kits(k: int) -> tuple[_MiddleKit, ...]:
-    """One _MiddleKit per labeled poset on k elements, in _all_masks order; built once."""
-    if k not in _MIDDLE_KITS:
-        _MIDDLE_KITS[k] = tuple([_middle_kit(Poset._from_masks(k, up)) for up in _all_masks(k)])
-    return _MIDDLE_KITS[k]
+    middle = [e for e in range(n) if e not in (b, t)]
+    carrier = [1 << t] * (1 << (n - 2))
+    for m in range(1, len(carrier)):
+        low = m & -m
+        carrier[m] = carrier[m ^ low] | 1 << middle[low.bit_length() - 1]
+    block = (b, t, middle, carrier)
+    up = [0] * n
+    up[b], up[t] = (1 << n) - 1, 1 << t
+    for q in middles:
+        for e, row in zip(middle, q._up):
+            up[e] = carrier[row]
+        yield _BoundedPoset._from_block(n, tuple(up), block, q)
 
 
 def _bounded_posets(n: int) -> Iterator[Poset]:
-    # cached sizes yield posets that answer from their middle, the others plain ones
-    rows = _bounded_masks(n)
-    if n not in _BOUNDED_CACHE:
-        return map(Poset._from_masks, repeat(n), rows)
-    _, blocks, order = _BOUNDED_CACHE[n]
-    kits = _middle_kits(n - 2)
-    per_block = len(kits)
-    return (_BoundedPoset._from_block(n, up, blocks[i // per_block], kits[i % per_block])
-            for up, i in zip(rows, order))
+    """Every bounded labeled poset on n elements, ascending by order rows, built lazily.
+
+    Above one element this merges the per-(bottom, top) block streams;
+    the middle posets are built once per call and shared by every block.
+    """
+    if n == 1:
+        return iter((Poset._from_masks(1, (1,)),))
+    middles = [Poset._from_masks(n - 2, up) for up in _all_masks(n - 2)]
+    return merge(*[_block_posets(n, b, t, middles) for b, t in permutations(range(n), 2)],
+                 key=attrgetter("_up"))
 
 
 def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:
@@ -602,9 +575,10 @@ def verify(
 
     elapsed = time.perf_counter() - start
     kind = "bounded posets" if eff.require_bounded else "posets"
+    which = "one representative per isomorphism class of" if eff.canonical_only else "all labeled"
     tail = " and all their completions" if th.over == "lattices" else ""
     scope = (
-        f"exhaustive over all labeled {kind} with at most {eff.max_elements} elements{tail}; "
+        f"exhaustive over {which} {kind} with at most {eff.max_elements} elements{tail}; "
         "evidence for the general statement, not a proof"
     )
     return VerificationResult(

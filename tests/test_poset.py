@@ -1,3 +1,5 @@
+from itertools import islice, permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from lamlat import (
 )
 from lamlat.fixtures import FIXTURE_NAMES, fixture_poset
 from lamlat.poset import _bits, _BoundedPoset
-from lamlat.search import THEOREMS
+from lamlat.search import THEOREMS, _bounded_posets
 
 from oracles import (
     _heights,
@@ -298,7 +300,7 @@ def test_heights_match_oracle_on_every_poset_with_a_bottom_up_to_5_and_fixtures(
     assert max(max(p.heights) for p in posets) == 4
 
 
-def test_bounded_stream_posets_answer_like_plain_posets_up_to_6(bounded_upto6):
+def test_bounded_stream_posets_answer_like_plain_posets_up_to_6_and_sampled_at_7(bounded_upto6):
     # the bounded stream's posets answer from their middle poset; each
     # override must equal the generic property of the same order rows
     overrides = ("bottom", "top", "_down", "_incomparable", "_incomparable_cells",
@@ -307,8 +309,10 @@ def test_bounded_stream_posets_answer_like_plain_posets_up_to_6(bounded_upto6):
     # bench/tracing.py rebinds these on Poset, so the stream must inherit them
     assert not {"leq", "is_directed", "maximal_chains_to_top", "has_lu_covering"} & set(
         vars(_BoundedPoset))
+    sample7 = list(islice(_bounded_posets(7), 0, None, 41))
+    assert {p.bounds() for p in sample7} == set(permutations(range(7), 2))  # all 42 blocks
     from_middle = 0
-    for p in bounded_upto6:
+    for p in bounded_upto6 + sample7:
         q = Poset._from_masks(p.n, p._up)
         for name in overrides:
             assert getattr(p, name) == getattr(q, name), (p, name)
@@ -316,7 +320,8 @@ def test_bounded_stream_posets_answer_like_plain_posets_up_to_6(bounded_upto6):
         assert (p.atoms(), p.coatoms(), p.bounds()) == (q.atoms(), q.coatoms(), q.bounds()), p
         assert p == q and q == p and hash(p) == hash(q), p
         from_middle += isinstance(p, _BoundedPoset)
-    assert from_middle == 6995 - 1  # all but the one-element poset
+    assert len(sample7) == 4335  # ceil(177702 / 41)
+    assert from_middle == 6995 - 1 + 4335  # all but the one-element poset
 
 
 def test_bits_matches_bit_loop_across_table_boundary():

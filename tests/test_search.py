@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -24,8 +25,8 @@ from lamlat import (
 )
 from lamlat import checkers
 from lamlat.fixtures import fixture, fixture_poset
-from lamlat.poset import _validate_order
-from lamlat.search import _BOUNDED_CACHE, _CACHE_LIMIT, THEOREMS, _all_masks, _bounded_masks
+from lamlat.poset import _BoundedPoset, _validate_order
+from lamlat.search import THEOREMS, _all_masks, _bounded_posets
 from lamlat.verdict import HOLDS
 
 from oracles import (
@@ -81,22 +82,48 @@ def test_labeled_streams_at_six_are_valid_sorted_and_decompose():
             if full in up and any(all(row >> t & 1 for row in up) for t in range(n))
         )
         assert len(expected) == count
-        assert _bounded_masks(n) == expected
+        assert tuple(p._up for p in _bounded_posets(n)) == expected
 
 
-def test_bounded_stream_at_seven_stays_plain_and_sorted(bounded_upto6):
-    # sizes above the cache limit are built, sorted and streamed as plain
-    # posets, and nothing but the cached sizes keeps a sort permutation
+# sha256 over bytes((n, *rows)) of every bounded poset with at most 7
+# elements, in stream order; taken from the stream before it was merged
+BOUNDED_UPTO7_SHA256 = "87418ad8392a6211ae23999fed2cc66aba038da9f6617786a53dc5646c7c79b8"
+
+
+def test_bounded_stream_up_to_seven_is_sorted_bounded_and_pinned(bounded_upto6):
+    # every size streams posets that answer from their middle, strictly
+    # ascending, in the order pinned before the block streams were merged
     stream = enumerate_posets(EnumerationFilter(max_elements=7, require_bounded=True))
-    assert [next(stream) for _ in bounded_upto6] == bounded_upto6
+    digest = hashlib.sha256()
+    for p in bounded_upto6:
+        assert next(stream) == p
+        digest.update(bytes((p.n, *p._up)))
     count, last = 0, ()
     for p in stream:
-        assert p.n == 7 and type(p) is Poset
+        assert p.n == 7 and type(p) is _BoundedPoset
         assert p._up > last
+        digest.update(bytes((p.n, *p._up)))
         count, last = count + 1, p._up
     assert count == 42 * 4231 == 177702  # n(n-1) A001035(n-2)
-    assert _CACHE_LIMIT == 6
-    assert set(_BOUNDED_CACHE) <= set(range(1, _CACHE_LIMIT + 1))
+    assert digest.hexdigest() == BOUNDED_UPTO7_SHA256
+
+
+def test_bounded_stream_builds_lazily(monkeypatch):
+    # the first poset of a size is taken after at most one poset per
+    # (bottom, top) block has been built
+    built = []
+    from_block = _BoundedPoset._from_block
+
+    def counting(*args):
+        built.append(args[2][:2])  # (bottom, top) of the block
+        return from_block(*args)
+
+    monkeypatch.setattr(_BoundedPoset, "_from_block", counting)
+    stream = _bounded_posets(7)
+    assert built == []
+    first = next(stream)
+    assert first.bounds() in built
+    assert len(built) == len(set(built)) <= 42
 
 
 def test_bounded_n2_is_two_labeled_chains():
@@ -253,6 +280,17 @@ def test_verify_th1_small_clean():
     assert r.posets_checked == 1 + 2 + 6 + 36
     assert r.lattices_checked >= r.posets_checked
     assert "not a proof" in r.scope
+
+
+def test_verify_scope_names_what_was_enumerated():
+    labeled = verify("TH1", EnumerationFilter(max_elements=5))
+    canonical = verify("TH1", EnumerationFilter(max_elements=5, canonical_only=True))
+    assert (labeled.posets_checked, labeled.lattices_checked) == (425, 545)
+    assert (canonical.posets_checked, canonical.lattices_checked) == (10, 12)
+    assert labeled.scope.startswith("exhaustive over all labeled bounded posets ")
+    assert canonical.scope.startswith(
+        "exhaustive over one representative per isomorphism class of bounded posets ")
+    assert "labeled" not in canonical.scope
 
 
 def test_verify_unknown_id():
