@@ -12,13 +12,17 @@ from pathlib import Path
 
 from .checkers import classify
 from .dot import export_dot
-from .errors import ArgumentError, LamlatError
+from .errors import ArgumentError, BudgetError, LamlatError
 from .fixtures import FIXTURE_NAMES, fixture
 from .instances import parse_instance, render_instance
 from .lattice import LambdaLattice
 from .poset import Poset
 from .report import build_report, render_text
 from .search import DEFAULT_COMPLETION_BUDGET, EnumerationFilter, enumerate_posets, verify
+
+# enumerate lists at most this many posets, above the 184 697 bounded ones up to
+# 7 elements; longer listings (labeled n = 7 has 6 264 355) would exhaust memory
+LISTING_CAP = 200_000
 
 _ROW_ORDER = (
     (True, True, True),
@@ -166,11 +170,16 @@ def _cmd_enumerate(args) -> int:
         canonical_only=args.canonical,
     )
     counts: dict[int, int] = {}
-    posets = []
+    listed = []  # (n, covers) per poset; holding the posets themselves costs more memory
     for p in enumerate_posets(flt):
         counts[p.n] = counts.get(p.n, 0) + 1
         if not args.count_only:
-            posets.append(p)
+            if len(listed) == LISTING_CAP:
+                raise BudgetError(
+                    f"listing stops at {LISTING_CAP} posets; use --count-only, "
+                    "or narrow the listing with --bounded or --canonical"
+                )
+            listed.append((p.n, p.covers))
     total = sum(counts.values())
     payload: dict = {
         "counts": {str(k): v for k, v in sorted(counts.items())},
@@ -179,12 +188,9 @@ def _cmd_enumerate(args) -> int:
     lines = [f"n={k}: {v}" for k, v in sorted(counts.items())]
     lines.append(f"total: {total}")
     if not args.count_only:
-        payload["posets"] = [
-            {"n": p.n, "covers": [list(c) for c in p.covers]} for p in posets
-        ]
+        payload["posets"] = [{"n": n, "covers": [list(c) for c in covers]} for n, covers in listed]
         lines.extend(
-            f"n={p.n}  covers: " + " ".join(f"{a}<{b}" for a, b in p.covers)
-            for p in posets
+            f"n={n}  covers: " + " ".join(f"{a}<{b}" for a, b in covers) for n, covers in listed
         )
     _emit(args, payload, "\n".join(lines) + "\n")
     return 0

@@ -23,10 +23,10 @@ def _normalized(assignments: Mapping[Pair, int]) -> dict[Pair, int]:
     out: dict[Pair, int] = {}
     for (x, y), v in dict(assignments).items():
         if x == y:
-            raise ValueError(f"({x}, {y}) is not a pair of distinct elements")
+            raise ArgumentError(f"({x}, {y}) is not a pair of distinct elements")
         key = (x, y) if x < y else (y, x)
         if key in out and out[key] != v:
-            raise ValueError(f"conflicting assignments for pair {key}")
+            raise ArgumentError(f"conflicting assignments for pair {key}")
         out[key] = int(v)
     return out
 
@@ -142,7 +142,7 @@ class LambdaLattice:
             for y in range(x, n):
                 jv, mv = jt[x][y], mt[x][y]
                 if jt[y][x] != jv or mt[y][x] != mv:
-                    raise ValueError(f"tables must be symmetric at ({x}, {y})")
+                    raise ArgumentError(f"tables must be symmetric at ({x}, {y})")
                 if not (up[x] >> y & 1 or up[y] >> x & 1):
                     _check_bound(p, "join", x, y, jv)
                     _check_bound(p, "meet", x, y, mv)
@@ -202,7 +202,7 @@ class LambdaLattice:
         for x in elems:
             for y in _bits(inc[x] & mask):
                 if not (mask >> jt[x][y] & 1 and mask >> mt[x][y] & 1):
-                    raise ValueError("subset is not closed under the operations")
+                    raise ArgumentError("subset is not closed under the operations")
         # a closed subset keeps the table contract, so no validation is needed
         return LambdaLattice._from_tables(
             sub,
@@ -221,21 +221,14 @@ class LambdaLattice:
                 mt[perm[x]][perm[y]] = perm[self.meet_table[x][y]]
         return LambdaLattice._from_tables(sub, _frozen(jt), _frozen(mt))
 
-    def isomorphisms(self, other: "LambdaLattice") -> Iterator[tuple[int, ...]]:
-        """Bijections preserving order and both operations."""
-        jt, mt = self.join_table, self.meet_table
-        ot, om = other.join_table, other.meet_table
-        n = self.n
-        for f in self.poset.isomorphisms(other.poset):
-            if all(
-                ot[f[x]][f[y]] == f[jt[x][y]] and om[f[x]][f[y]] == f[mt[x][y]]
-                for x in range(n)
-                for y in range(x, n)
-            ):
-                yield f
-
     def is_isomorphic(self, other: "LambdaLattice") -> bool:
-        return next(self.isomorphisms(other), None) is not None
+        """Isomorphic posets whose tables agree once both are relabeled least.
+
+        Only the relabelings that make the poset least are tried, so the
+        encodings compared share their poset part.
+        """
+        return (self.poset.is_isomorphic(other.poset)
+                and _least_encoding(self) == _least_encoding(other))
 
     def encoding(self) -> tuple:
         """Sort key: poset encoding plus the per-pair (join, meet) choices.
@@ -267,6 +260,10 @@ class LambdaLattice:
             f"{self.label(x)}v{self.label(y)}={self.label(v)}" for (x, y), v in spec.joins.items()
         )
         return f"LambdaLattice(n={self.n}, joins=[{picks}])"
+
+
+def _least_encoding(ll: LambdaLattice) -> tuple:
+    return min(ll.relabel(perm).encoding() for perm in ll.poset._canonical[1])
 
 
 # ----- construction from a poset plus choices -----
@@ -337,7 +334,7 @@ def from_choice(p: Poset, choice: ChoiceSpec | None = None, *, fill: str = "forc
     unassigned raises IncompleteChoiceError.
     """
     if fill not in ("forced", "acute", "none"):
-        raise ValueError(f"unknown fill policy {fill!r}")
+        raise ArgumentError(f"unknown fill policy {fill!r}")
     if not p.is_directed():
         raise NotDirectedError("a completion needs a directed poset")
     joins = dict(choice.joins) if choice is not None else {}

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import permutations
 from operator import and_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     ArgumentError,
@@ -423,7 +423,7 @@ class Poset:
         """Image under old-index -> new-index permutation; labels move along."""
         n = self.n
         if sorted(perm) != list(range(n)):
-            raise ValueError("not a permutation of the carrier")
+            raise ArgumentError("not a permutation of the carrier")
         up = _permuted(self._up, perm)
         labels = None
         if self.labels is not None:
@@ -437,7 +437,7 @@ class Poset:
         """Induced sub-order, reindexed over the sorted element list."""
         elems = sorted(set(elements))
         if not elems:
-            raise ValueError("a restriction needs at least one element")
+            raise ArgumentError("a restriction needs at least one element")
         for x in elems:
             _check_index(self.n, x)
         pos, mask = _positions(self.n, elems)
@@ -458,54 +458,27 @@ class Poset:
         """
         return (self.n, *self._up)
 
+    # ----- isomorphism: least relabeling over all n! permutations -----
+
     def is_canonical(self) -> bool:
         """True iff the encoding is minimal over all relabelings."""
         return all(_permuted(self._up, perm) >= self._up for perm in permutations(range(self.n)))
 
-    # ----- isomorphism (brute force; intended for small n) -----
-
-    def _iso_profile(self) -> list[tuple[int, int, int, int]]:
-        return [
-            (self._up[i].bit_count(), self._down[i].bit_count(),
-             self._covers_above[i].bit_count(), self._covers_below[i].bit_count())
-            for i in range(self.n)
-        ]
-
-    def isomorphisms(self, other: "Poset") -> Iterator[tuple[int, ...]]:
-        """Order-preserving bijections self -> other."""
-        if self.n != other.n:
-            return
-        mine, theirs = self._iso_profile(), other._iso_profile()
-        if sorted(mine) != sorted(theirs):
-            return
-        n = self.n
-        candidates = [[j for j in range(n) if theirs[j] == mine[i]] for i in range(n)]
-        assigned: list[int] = []
-        used = [False] * n
-
-        def extend(i: int) -> Iterator[tuple[int, ...]]:
-            if i == n:
-                yield tuple(assigned)
-                return
-            for j in candidates[i]:
-                if used[j]:
-                    continue
-                ok = all(
-                    (self._up[k] >> i & 1) == (other._up[assigned[k]] >> j & 1)
-                    and (self._up[i] >> k & 1) == (other._up[j] >> assigned[k] & 1)
-                    for k in range(i)
-                )
-                if ok:
-                    used[j] = True
-                    assigned.append(j)
-                    yield from extend(i + 1)
-                    assigned.pop()
-                    used[j] = False
-
-        yield from extend(0)
+    @_cached
+    def _canonical(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        # the least relabeled rows, and every old -> new permutation that reaches them
+        best, perms = None, []
+        for perm in permutations(range(self.n)):
+            rows = _permuted(self._up, perm)
+            if best is None or rows < best:
+                best, perms = rows, [perm]
+            elif rows == best:
+                perms.append(perm)
+        return best, tuple(perms)
 
     def is_isomorphic(self, other: "Poset") -> bool:
-        return next(self.isomorphisms(other), None) is not None
+        """Same size and the same least relabeling; computed once per poset object."""
+        return self.n == other.n and self._canonical[0] == other._canonical[0]
 
     # ----- dunder -----
 
@@ -593,7 +566,7 @@ class _BoundedPoset(Poset):
 def mk_poset(k: int, labels: Sequence[str] | None = None) -> Poset:
     """Bounded poset of length two: bottom, a k-element antichain, top."""
     if k < 1:
-        raise ValueError("antichain size must be at least 1")
+        raise ArgumentError("antichain size must be at least 1")
     n = k + 2
     covers = [(0, i) for i in range(1, k + 1)] + [(i, n - 1) for i in range(1, k + 1)]
     if labels is None:

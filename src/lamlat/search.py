@@ -607,7 +607,7 @@ def independence_table(
     """
     if instances is None:
         if flt is None:
-            raise ValueError("need a filter or explicit instances")
+            raise ArgumentError("need a filter or explicit instances")
         eff = flt if flt.require_bounded else replace(flt, require_bounded=True)
         instances = (
             ll for p in enumerate_posets(eff) for ll in enumerate_completions(p, budget)

@@ -5,7 +5,7 @@ deliberately avoids the package's bitmask representation, so these
 implementations cannot share bugs with the code they check.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 
 def is_partial_order(n, rel):
@@ -391,3 +391,21 @@ def axiom_failures_naive(n, join, meet):
         witness, s = min(found)
         out.append((witness, note.format(op=sides[s][2], dual=sides[s][3])))
     return tuple(out)
+
+
+def isomorphic_naive(a, b):
+    """Some bijection f of the carriers has x <= y exactly when f(x) <= f(y)
+    and, where the instances carry (join, meet) tables, f(x v y) = f(x) v f(y)
+    and f(x ^ y) = f(x) ^ f(y). An instance is (n, rel) or (n, rel, join, meet)."""
+    n, rel_a, *tables_a = a
+    m, rel_b, *tables_b = b
+    rel_b = set(rel_b)
+    if n != m or len(rel_a) != len(rel_b):  # f maps the pairs of rel_a one-to-one
+        return False
+    for f in permutations(range(n)):
+        if {(f[x], f[y]) for x, y in rel_a} != rel_b:
+            continue
+        if all(tb[f[x]][f[y]] == f[ta[x][y]]
+               for ta, tb in zip(tables_a, tables_b) for x in range(n) for y in range(n)):
+            return True
+    return False

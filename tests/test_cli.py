@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import lamlat
+import lamlat.cli
 from lamlat.cli import main
 from lamlat.fixtures import fixture, fixture_poset
 from lamlat.instances import render_instance
@@ -162,6 +163,25 @@ def test_enumerate_bounded_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["counts"] == {"1": 1, "2": 2, "3": 6}
     assert len(doc["posets"]) == doc["total"] == 9
+
+
+def test_enumerate_listing_over_the_cap_exits_2(capsys, monkeypatch):
+    assert lamlat.cli.LISTING_CAP >= 184_697  # every bounded poset up to 7 elements lists
+    monkeypatch.setattr(lamlat.cli, "LISTING_CAP", 10)
+    assert main(["enumerate", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: listing stops at 10 posets; use --count-only, "
+                            "or narrow the listing with --bounded or --canonical\n")
+    assert main(["enumerate", "--n", "3", "--count-only"]) == 0  # counting is not capped
+    assert "total: 23" in capsys.readouterr().out
+    assert main(["enumerate", "--n", "3", "--bounded"]) == 0  # 9 posets fit
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in lamlat.__all__ if not hasattr(lamlat, name)]
+    assert missing == []
+    assert len(set(lamlat.__all__)) == len(lamlat.__all__)
 
 
 def test_export_dot(capsys, fig3_file):

@@ -17,6 +17,7 @@ from lamlat import (
     acute,
     check_axioms,
     convex_closed_subsets,
+    enumerate_completions,
     enumerate_posets,
     forced_join,
     forced_meet,
@@ -36,6 +37,7 @@ from oracles import (
     axiom_failures_naive,
     convex_closed_subsets_naive,
     is_lattice_naive,
+    isomorphic_naive,
     relation_from_covers,
 )
 
@@ -361,6 +363,18 @@ def test_lattice_isomorphism():
     p = fixture_poset("FIG5")
     other = from_choice(p, ChoiceSpec(joins={(2, 3): 5, (3, 4): 5}, meets={(2, 3): 1, (3, 4): 1}))
     assert not fig5.is_isomorphic(other)
+
+
+def test_lattice_is_isomorphic_matches_naive_oracle_up_to_4():
+    lls = [ll for p in enumerate_posets(EnumerationFilter(max_elements=4, require_bounded=True))
+           for ll in enumerate_completions(p)]
+    inst = [(ll.n, relation_from_covers(ll.n, ll.poset.covers), ll.join_table, ll.meet_table)
+            for ll in lls]
+    pairs = [(i, j) for i, a in enumerate(lls) for j, b in enumerate(lls) if a.n == b.n]
+    assert len(pairs) == 1337
+    got = [lls[i].is_isomorphic(lls[j]) for i, j in pairs]
+    assert got == [isomorphic_naive(inst[i], inst[j]) for i, j in pairs]
+    assert 0 < sum(got) < len(got)
 
 
 # ----- construction invariants over random completions -----

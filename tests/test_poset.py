@@ -20,15 +20,17 @@ from lamlat import (
 )
 from lamlat.fixtures import FIXTURE_NAMES, fixture_poset
 from lamlat.poset import _bits, _BoundedPoset
-from lamlat.search import THEOREMS, _bounded_posets
+from lamlat.search import THEOREMS, _all_masks, _bounded_posets
 
 from oracles import (
     _heights,
+    all_labeled_posets_naive,
     cover_paths,
     equal_chain_lengths_failure,
     has_top,
     incomparable_cells_naive,
     is_directed_naive,
+    isomorphic_naive,
     least_bound_naive,
     lu_covering_witness,
     oracle_height,
@@ -378,6 +380,28 @@ def test_isomorphism_detects_difference():
     vee = Poset.from_covers(3, [(0, 1), (0, 2)])
     assert not chain.is_isomorphic(vee)
     assert chain.is_isomorphic(chain.relabel([2, 0, 1]))
+
+
+def test_is_isomorphic_matches_naive_oracle_on_all_pairs_up_to_4():
+    rels = [(n, rel) for n in range(1, 5) for rel in all_labeled_posets_naive(n)]
+    posets = [Poset([[(x, y) in rel for y in range(n)] for x in range(n)]) for n, rel in rels]
+    got = [p.is_isomorphic(q) for p in posets for q in posets]
+    expected = [isomorphic_naive(a, b) for a in rels for b in rels]
+    assert len(got) == 242 * 242
+    assert got == expected
+    assert 0 < sum(got) < len(got)
+
+
+def test_least_relabelings_count_classes_like_is_canonical_up_to_5():
+    # the least relabeling and the is_canonical filter are the two consumers
+    # of one canonical form, so both count the unlabeled posets
+    for n, classes in zip(range(1, 6), (1, 2, 5, 16, 63)):
+        posets = [Poset._from_masks(n, up) for up in _all_masks(n)]
+        assert len({p._canonical[0] for p in posets}) == classes
+        assert sum(map(Poset.is_canonical, posets)) == classes
+        for p in posets:
+            least, perms = p._canonical
+            assert all(p.relabel(perm)._up == least for perm in perms)
 
 
 def test_labels_cosmetic():

@@ -13,6 +13,7 @@ from lamlat import (
     NotDirectedError,
     Poset,
     UnknownTheoremError,
+    acute,
     check_axioms,
     completion_count,
     convex_closed_subsets,
@@ -20,6 +21,7 @@ from lamlat import (
     enumerate_posets,
     from_choice,
     independence_table,
+    mk_poset,
     verify,
     violates,
 )
@@ -330,6 +332,16 @@ def test_sizes_and_budgets_below_one_rejected(call):
     (lambda: check_axioms([[0]], [[0, 0], [0, 1]]), "join and meet tables differ in size"),
     (lambda: LambdaLattice(Poset([[1, 1], [0, 1]]), [[0]], [[0]]),
      "operation tables must be n x n"),
+    (lambda: mk_poset(2).relabel([0, 0, 1, 2]), "not a permutation of the carrier"),
+    (lambda: mk_poset(2).restrict([]), "a restriction needs at least one element"),
+    (lambda: mk_poset(0), "antichain size must be at least 1"),
+    (lambda: ChoiceSpec(joins={(1, 1): 3}), "(1, 1) is not a pair of distinct elements"),
+    (lambda: ChoiceSpec(meets={(1, 2): 0, (2, 1): 3}), "conflicting assignments for pair (1, 2)"),
+    (lambda: from_choice(mk_poset(2), fill="least"), "unknown fill policy 'least'"),
+    (lambda: LambdaLattice(Poset([[1, 1], [0, 1]]), [[0, 1], [0, 1]], [[0, 0], [0, 1]]),
+     "tables must be symmetric at (0, 1)"),
+    (lambda: acute(mk_poset(2)).restrict([1, 2]), "subset is not closed under the operations"),
+    (lambda: independence_table(), "need a filter or explicit instances"),
 ])
 def test_malformed_posets_labels_and_tables_raise_argument_error(call, message):
     with pytest.raises(ArgumentError) as err:
