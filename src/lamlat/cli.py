@@ -181,19 +181,35 @@ def _cmd_enumerate(args) -> int:
                 )
             listed.append((p.n, p.covers))
     total = sum(counts.values())
-    payload: dict = {
-        "counts": {str(k): v for k, v in sorted(counts.items())},
-        "total": total,
-    }
-    lines = [f"n={k}: {v}" for k, v in sorted(counts.items())]
-    lines.append(f"total: {total}")
-    if not args.count_only:
-        payload["posets"] = [{"n": n, "covers": [list(c) for c in covers]} for n, covers in listed]
-        lines.extend(
-            f"n={n}  covers: " + " ".join(f"{a}<{b}" for a, b in covers) for n, covers in listed
-        )
-    _emit(args, payload, "\n".join(lines) + "\n")
+    counted = {str(k): v for k, v in sorted(counts.items())}
+    if args.json:
+        _print_listing_json(counted, total, listed)
+        return 0
+    for k, v in counted.items():
+        print(f"n={k}: {v}")
+    print(f"total: {total}")
+    for n, covers in listed:
+        print(f"n={n}  covers: " + " ".join(f"{a}<{b}" for a, b in covers))
     return 0
+
+
+def _print_listing_json(counts: dict, total: int, listed: list) -> None:
+    """Print the enumerate payload as json.dumps(indent=2, sort_keys=True) would.
+
+    The posets are printed one at a time, so neither the nested payload
+    nor its whole text is held. An empty listing means --count-only: any
+    other listing holds at least the one-element poset.
+    """
+    counted = json.dumps(counts, indent=2, sort_keys=True).replace("\n", "\n  ")
+    print('{\n  "counts": ' + counted + ",")
+    if listed:
+        print('  "posets": [')
+        end = len(listed) - 1
+        for i, (n, covers) in enumerate(listed):
+            item = json.dumps({"covers": [list(c) for c in covers], "n": n}, indent=2)
+            print("    " + item.replace("\n", "\n    ") + ("," if i < end else ""))
+        print("  ],")
+    print(f'  "total": {total}\n}}')
 
 
 def _cmd_export_dot(args) -> int:

@@ -345,13 +345,18 @@ class Poset:
         """Whenever x is covered by incomparable y and z, some u covers both.
 
         Distinct covers of x are incomparable: y < z would put y between x and z.
+        Each unordered pair is tried once, as y < z, so the witness is the
+        first failing (x, y, z) in lexicographic order.
         """
         above = self._covers_above
-        for x in range(self.n):
-            ys = _bits(above[x])
-            for y in ys:
-                for z in ys:
-                    if y != z and not above[y] & above[z]:
+        for x, row in enumerate(above):
+            if not row & (row - 1):
+                continue  # fewer than two covers
+            ys = _bits(row)
+            for k, y in enumerate(ys):
+                ay = above[y]
+                for z in ys[k + 1:]:
+                    if not ay & above[z]:
                         return Verdict(False, (x, y, z))
         return HOLDS
 

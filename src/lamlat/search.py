@@ -8,11 +8,10 @@ a proof of the general case; results say so explicitly.
 
 import time
 from dataclasses import dataclass, replace
-from heapq import merge
-from itertools import permutations, product, repeat
+from heapq import heapify, heappop, heapreplace
+from itertools import chain, permutations, product, repeat
 from math import prod
-from operator import attrgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import checkers
 from .errors import ArgumentError, BudgetError, NotDirectedError, UnknownTheoremError
@@ -59,53 +58,88 @@ class EnumerationFilter:
 
 # ----- labeled poset generation -----
 #
-# Posets on 0..n-1 are built one element at a time: element k is attached
-# to a poset on 0..k-1 by choosing the set D of elements below it (a down
-# set) and the set U of elements above it (an up set) with U inside the
-# common strict up-set of D, so D and U are disjoint and D x U is already
-# in the order. Restriction to 0..k-1 inverts the step, so every labeled
-# poset is produced exactly once and no dedupe pass is needed.
+# A labeled poset on 0..n-1 is its tuple of up-set rows, and the walk picks
+# the rows whole, in index order, bits of later elements included. Row j
+# holds j and lies inside cap, the AND of the earlier rows that hold j. Its
+# part over 0..j-1 is an up-set of the order the earlier rows induce that
+# misses below, the earlier elements whose rows hold j; each earlier
+# element in it forces its own row's bits above j, and the other bits above
+# j inside cap are free. Every such prefix extends to a poset, so the walk
+# never dead-ends, and taking each row's candidates ascending by (high
+# part, low part) makes the stream ascend. Nothing but the current path is
+# held.
 
-_POSET_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}
-_CACHE_LIMIT = 6  # _all_masks(7) is large; recompute it instead of holding it
+
+def _holders(rows: tuple[int, ...], bit: int, full: int) -> tuple[int, int]:
+    """The rows holding bit, as a mask of their indices, and the AND of those rows."""
+    below, cap = 0, full
+    for i, row in enumerate(rows):
+        if row & bit:
+            below |= 1 << i
+            cap &= row
+    return below, cap
 
 
-def _extension_stream(n: int) -> Iterator[tuple[int, ...]]:
-    # a pending poset carries its down sets and up sets; with k added, a down
-    # set holding k must hold D and one without k must miss U (dually for up)
-    if n == 0:
-        yield ()
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of mask, ascending."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
+
+
+def _row_walk(n: int, rows: tuple[int, ...], ups: list[int]) -> Iterator[list[tuple[int, ...]]]:
+    """Every completion of rows to a poset on n elements, ascending, in batches.
+
+    ups holds the up-sets of the order rows induce on 0..len(rows)-1,
+    ascending. The step for row n - 2 also picks the last row, which is
+    the last element plus an up-set inside one mask, and yields all
+    completions of rows as one batch.
+    """
+    j = len(rows)
+    bit, full = 1 << j, (1 << n) - 1
+    below, cap = _holders(rows, bit, full)
+    high = cap & ~(2 * bit - 1)
+    cands = []  # (low part, forced high part) per admissible up-set
+    for s in ups:
+        if not s & below and not s & ~cap:
+            forced = 0
+            for i in _bits(s):
+                forced |= rows[i]
+            cands.append((s, forced & high))
+    if j + 2 < n:
+        for sub in _submasks(high):
+            for s, forced in cands:
+                if not forced & ~sub:
+                    # the up-sets of the order on 0..j, still ascending
+                    nups = [t for t in ups if not t & below] + [t | bit for t in ups if not s & ~t]
+                    yield from _row_walk(n, (*rows, sub | bit | s), nups)
         return
-    pending = [((), [0], [0])]
-    while pending:
-        up, downs, ups = pending.pop()
-        k = len(up)
-        bit = 1 << k
-        for d in downs:
-            allowed = bit - 1
-            for i in _bits(d):
-                allowed &= up[i] & ~(1 << i)
-            base = tuple([row | bit if d >> i & 1 else row for i, row in enumerate(up)])
-            for u in ups:
-                if u & ~allowed:
-                    continue
-                if k + 1 == n:
-                    yield (*base, bit | u)
-                else:
-                    pending.append((
-                        (*base, bit | u),
-                        [s for s in downs if not s & u] + [s | bit for s in downs if not d & ~s],
-                        [s for s in ups if not s & d] + [s | bit for s in ups if not u & ~s],
-                    ))
+    last = 1 << (j + 1)
+    lbelow, lcap = _holders(rows, last, full)
+    batch = []
+    out = ~(lcap & ~lbelow)  # what the last row misses when row j misses it
+    for s, forced in cands:
+        if not forced:
+            pre = (*rows, bit | s)
+            batch += [(*pre, last | t) for t in ups if not t & (below | out)]
+            if not bit & out:
+                batch += [(*pre, last | bit | t) for t in ups if not s & ~t and not t & out]
+    if high:  # row j holds the last element, so the last row lies inside row j
+        out = ~(lcap & ~(lbelow | bit))
+        for s, _ in cands:
+            pre = (*rows, high | bit | s)
+            batch += [(*pre, last | t) for t in ups if not t & (below | out | ~s)]
+    yield batch
 
 
-def _all_masks(n: int) -> tuple[tuple[int, ...], ...]:
-    if n in _POSET_CACHE:
-        return _POSET_CACHE[n]
-    out = tuple(sorted(_extension_stream(n)))
-    if n <= _CACHE_LIMIT:
-        _POSET_CACHE[n] = out
-    return out
+def _all_masks(n: int) -> Iterator[tuple[int, ...]]:
+    """Every labeled poset on n elements as up-set rows, strictly ascending, one at a time."""
+    if n < 2:
+        return iter(((1,) if n else (),))
+    return chain.from_iterable(_row_walk(n, (), [0]))
 
 
 def _block_posets(n: int, b: int, t: int, middles: list[Poset]) -> Iterator[_BoundedPoset]:
@@ -131,6 +165,38 @@ def _block_posets(n: int, b: int, t: int, middles: list[Poset]) -> Iterator[_Bou
         yield _BoundedPoset._from_block(n, tuple(up), block, q)
 
 
+def _merge_runs(streams: Iterable[Iterator]) -> Iterator:
+    """Merge streams that each ascend by their items' _up rows into one ascending stream.
+
+    A heap holds (rows, index, head, stream) per unfinished stream. The
+    least stream keeps yielding while its rows stay below the least other
+    head, and only then goes back on the heap, so the heap moves once per
+    run of items, not once per item. Equal rows come out in stream order.
+    """
+    heap = []
+    for i, stream in enumerate(streams):
+        for head in stream:
+            heap.append((head._up, i, head, stream))
+            break
+    heapify(heap)
+    while len(heap) > 1:
+        _, i, head, stream = heap[0]
+        bound = heap[1][0] if len(heap) == 2 else min(heap[1][0], heap[2][0])
+        yield head
+        for item in stream:
+            if item._up < bound:
+                yield item
+            else:
+                heapreplace(heap, (item._up, i, item, stream))
+                break
+        else:
+            heappop(heap)
+    if heap:
+        _, _, head, stream = heap[0]
+        yield head
+        yield from stream
+
+
 def _bounded_posets(n: int) -> Iterator[Poset]:
     """Every bounded labeled poset on n elements, ascending by order rows, built lazily.
 
@@ -140,8 +206,7 @@ def _bounded_posets(n: int) -> Iterator[Poset]:
     if n == 1:
         return iter((Poset._from_masks(1, (1,)),))
     middles = [Poset._from_masks(n - 2, up) for up in _all_masks(n - 2)]
-    return merge(*[_block_posets(n, b, t, middles) for b, t in permutations(range(n), 2)],
-                 key=attrgetter("_up"))
+    return _merge_runs([_block_posets(n, b, t, middles) for b, t in permutations(range(n), 2)])
 
 
 def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -163,6 +164,20 @@ def test_enumerate_bounded_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["counts"] == {"1": 1, "2": 2, "3": 6}
     assert len(doc["posets"]) == doc["total"] == 9
+
+
+# sha256 of the listings printed before enumerate wrote them piece by piece
+ENUMERATE_LISTING_SHA256 = {
+    ("--n", "5", "--json"): "eb714323260dd4be860ede64e6dd29564126750444b6f17bf19bea735cefb3f8",
+    ("--n", "6", "--bounded"): "ce3bcb468d6f70c8369c6168d90d35d6fc0bb7ba8cf8cd2a55c6157e9d39f614",
+}
+
+
+@pytest.mark.parametrize("args", sorted(ENUMERATE_LISTING_SHA256))
+def test_enumerate_listing_is_pinned(capsys, args):
+    assert main(["enumerate", *args]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_LISTING_SHA256[args]
 
 
 def test_enumerate_listing_over_the_cap_exits_2(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 import hashlib
-from itertools import product
+import tracemalloc
+from itertools import islice, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,7 +30,7 @@ from lamlat import (
 from lamlat import checkers
 from lamlat.fixtures import fixture, fixture_poset
 from lamlat.poset import _BoundedPoset, _validate_order
-from lamlat.search import THEOREMS, _all_masks, _bounded_posets
+from lamlat.search import THEOREMS, _all_masks, _bounded_posets, _merge_runs
 from lamlat.verdict import HOLDS
 
 from oracles import (
@@ -70,7 +72,7 @@ def test_bounded_filter_matches_naive_oracle():
 
 
 def test_labeled_streams_at_six_are_valid_sorted_and_decompose():
-    rows = _all_masks(6)
+    rows = tuple(_all_masks(6))
     assert len(rows) == 130023  # A001035
     assert all(a < b for a, b in zip(rows, rows[1:]))  # strictly ascending, hence distinct
     for up in rows:
@@ -85,6 +87,64 @@ def test_labeled_streams_at_six_are_valid_sorted_and_decompose():
         )
         assert len(expected) == count
         assert tuple(p._up for p in _bounded_posets(n)) == expected
+
+
+# sha256 over bytes((n, *rows)) of every labeled poset with at most 6
+# elements, in stream order; taken from the sorted stream the walk replaced
+LABELED_UPTO6_SHA256 = "9879166e88fd7dbfbc7d8bde40dced5b797de90fce79733821454423755c4fb6"
+
+
+def test_labeled_stream_up_to_six_is_pinned():
+    digest, count = hashlib.sha256(), 0
+    for n in range(1, 7):
+        for up in _all_masks(n):
+            digest.update(bytes((n, *up)))
+            count += 1
+    assert count == 134496
+    assert digest.hexdigest() == LABELED_UPTO6_SHA256
+
+
+def test_labeled_walk_matches_sorted_naive_oracle_up_to_4():
+    assert tuple(_all_masks(0)) == ((),)
+    for n in range(1, 5):
+        expected = sorted(
+            tuple(sum(1 << j for j in range(n) if (i, j) in rel) for i in range(n))
+            for rel in all_labeled_posets_naive(n)
+        )
+        assert list(_all_masks(n)) == expected
+
+
+def test_labeled_walk_at_seven_streams_without_holding_rows():
+    # the walk holds only its current path, so the first rows of the
+    # 6 129 859 at n = 7 come without building the rest
+    tracemalloc.start()
+    try:
+        last = ()
+        for up in islice(_all_masks(7), 50_000):
+            assert up > last
+            _validate_order(7, up)
+            last = up
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("keys", [
+    [],
+    [[], [], []],
+    [[1, 4, 9]],
+    [[], [2, 3], []],
+    [[1, 3, 5, 7], [2, 4, 6, 8]],  # runs of length 1
+    [[5, 6], [1, 2, 3, 7, 8, 9, 10, 11], [4]],  # the second stream outlasts the others
+    [[2, 5], [1, 2, 2], [0, 2, 9]],  # equal rows come out in stream order
+])
+def test_merge_runs_matches_sorted_concatenation(keys):
+    # stand-ins for posets: _merge_runs orders items by their _up rows
+    items = [[SimpleNamespace(_up=k, tag=(s, i)) for i, k in enumerate(ks)]
+             for s, ks in enumerate(keys)]
+    expected = sorted((item for stream in items for item in stream), key=lambda item: item._up)
+    assert [item.tag for item in _merge_runs(map(iter, items))] == [item.tag for item in expected]
 
 
 # sha256 over bytes((n, *rows)) of every bounded poset with at most 7
