@@ -286,11 +286,10 @@ class Theorem:
 
     theorem_id: str
     summary: str
-    over: str  # "lattices" or "posets"
+    over: str  # "lattices" (completions of bounded posets), "bounded posets" or "posets"
     default_max_elements: int
     hypothesis: Callable
     conclusion: Callable  # instance -> Verdict
-    require_bounded: bool = False
     mutant: bool = False  # deliberately weakened variant; counterexamples expected
 
 
@@ -425,13 +424,13 @@ _register(Theorem(
 ))
 _register(Theorem(
     "ACUTE", "the three characterizations of lower-covering acute completions agree",
-    over="posets", default_max_elements=6, require_bounded=True,
+    over="bounded posets", default_max_elements=6,
     hypothesis=_always,
     conclusion=_concl_acute_equivalence,
 ))
 _register(Theorem(
     "COR1", "acute completions satisfy the lower covering condition iff the structure is trivial, pointed or Mk",
-    over="posets", default_max_elements=6, require_bounded=True,
+    over="bounded posets", default_max_elements=6,
     hypothesis=_always,
     conclusion=_concl_acute_finite,
 ))
@@ -562,17 +561,9 @@ class VerificationResult:
         }
 
 
-def violates(theorem_id: str, instance) -> Counterexample | None:
-    """Evaluate a single instance; a result means hypotheses hold and the conclusion fails."""
-    th = _lookup(theorem_id)
-    if th.over == "lattices":
-        if not isinstance(instance, LambdaLattice):
-            raise TypeError(f"{th.theorem_id} quantifies over lambda-lattices")
-        poset, lattice = instance.poset, instance
-    else:
-        if isinstance(instance, LambdaLattice):
-            instance = instance.poset
-        poset, lattice = instance, None
+def _judge(th: Theorem, poset: Poset, lattice: LambdaLattice | None) -> Counterexample | None:
+    """th judged on the lattice if given, else the poset: a Counterexample, or None if it holds."""
+    instance = poset if lattice is None else lattice
     if not th.hypothesis(instance):
         return None
     v = th.conclusion(instance)
@@ -581,11 +572,30 @@ def violates(theorem_id: str, instance) -> Counterexample | None:
     return Counterexample(th.theorem_id, poset, lattice, v.witness, v.note)
 
 
+def _poset_filter(over: str, flt: EnumerationFilter) -> EnumerationFilter:
+    """flt, required to yield bounded posets unless the instances of kind over are all posets."""
+    return replace(flt, require_bounded=flt.require_bounded or over != "posets")
+
+
+def violates(theorem_id: str, instance) -> Counterexample | None:
+    """Evaluate a single instance; a result means hypotheses hold and the conclusion fails.
+
+    A theorem over posets reads a lambda-lattice as its poset; an
+    instance outside what the theorem ranges over raises TypeError.
+    """
+    th = _lookup(theorem_id)
+    lattice = instance if isinstance(instance, LambdaLattice) else None
+    poset = instance if lattice is None else instance.poset
+    if th.over == "lattices" and lattice is None or th.over == "bounded posets" and poset.bounds() is None:
+        raise TypeError(f"{th.theorem_id} quantifies over {th.over}")
+    return _judge(th, poset, lattice if th.over == "lattices" else None)
+
+
 def verify(
     theorem_id: str,
     flt: EnumerationFilter | None = None,
     *,
-    budget: int = DEFAULT_COMPLETION_BUDGET,
+    budget: int | None = DEFAULT_COMPLETION_BUDGET,
     collect_all: bool = False,
 ) -> VerificationResult:
     """Replay one theorem over every enumerated instance in range.
@@ -595,53 +605,41 @@ def verify(
     budget is counted as skipped: enumerate_completions sizes it and
     raises BudgetError before any completion is built, never sampled;
     the others stream their completions lazily, so a first-hit run stops
-    building at the counterexample. Budgets below 1 would skip
-    everything and are rejected.
+    building at the counterexample. A budget of None means no limit;
+    budgets below 1 would skip everything and are rejected.
     """
     th = _lookup(theorem_id)
-    if budget < 1:
+    if budget is not None and budget < 1:
         raise ArgumentError(f"the completion budget must be at least 1, got {budget}")
     if flt is None:
         flt = EnumerationFilter(max_elements=th.default_max_elements)
-    eff = flt
-    if (th.over == "lattices" or th.require_bounded) and not flt.require_bounded:
-        eff = replace(flt, require_bounded=True)
+    eff = _poset_filter(th.over, flt)
+    on_lattices = th.over == "lattices"
 
     start = time.perf_counter()
-    posets_checked = 0
-    lattices_checked = 0
-    posets_skipped = 0
+    posets_checked = instances_checked = posets_skipped = 0
     found: list[Counterexample] = []
 
     for p in enumerate_posets(eff):
-        if th.over == "posets":
-            posets_checked += 1
-            if th.hypothesis(p):
-                v = th.conclusion(p)
-                if not v.holds:
-                    found.append(Counterexample(th.theorem_id, p, None, v.witness, v.note))
+        try:  # the instances of p are its completions, or p itself
+            for ll in enumerate_completions(p, budget) if on_lattices else (None,):
+                instances_checked += 1
+                ce = _judge(th, p, ll)
+                if ce is not None:
+                    found.append(ce)
+                    if not collect_all:
+                        break
+        except BudgetError:  # raised before the first completion is built
+            posets_skipped += 1
         else:
-            try:
-                for ll in enumerate_completions(p, budget):
-                    lattices_checked += 1
-                    if not th.hypothesis(ll):
-                        continue
-                    v = th.conclusion(ll)
-                    if not v.holds:
-                        found.append(Counterexample(th.theorem_id, p, ll, v.witness, v.note))
-                        if not collect_all:
-                            break
-            except BudgetError:  # raised before the first completion is built
-                posets_skipped += 1
-            else:
-                posets_checked += 1
+            posets_checked += 1
         if found and not collect_all:
             break
 
     elapsed = time.perf_counter() - start
     kind = "bounded posets" if eff.require_bounded else "posets"
     which = "one representative per isomorphism class of" if eff.canonical_only else "all labeled"
-    tail = " and all their completions" if th.over == "lattices" else ""
+    tail = " and all their completions" if on_lattices else ""
     scope = (
         f"exhaustive over {which} {kind} with at most {eff.max_elements} elements{tail}; "
         "evidence for the general statement, not a proof"
@@ -650,7 +648,7 @@ def verify(
         theorem_id=th.theorem_id,
         max_elements=eff.max_elements,
         posets_checked=posets_checked,
-        lattices_checked=lattices_checked,
+        lattices_checked=instances_checked if on_lattices else 0,
         posets_skipped=posets_skipped,
         counterexample=found[0] if found else None,
         elapsed=elapsed,
@@ -673,7 +671,7 @@ def independence_table(
     if instances is None:
         if flt is None:
             raise ArgumentError("need a filter or explicit instances")
-        eff = flt if flt.require_bounded else replace(flt, require_bounded=True)
+        eff = _poset_filter("lattices", flt)
         instances = (
             ll for p in enumerate_posets(eff) for ll in enumerate_completions(p, budget)
         )

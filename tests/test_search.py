@@ -487,6 +487,60 @@ def test_violates_on_fixture():
     assert violates("CHAINS_NO_LU", fixture_poset("FIG5")) is not None
 
 
+@pytest.mark.parametrize("theorem_id, instance, over", [
+    ("TH1", fixture_poset("FIG5"), "lattices"),
+    ("ACUTE", mk_poset(2).restrict([1, 2]), "bounded posets"),
+    ("COR1", Poset.from_covers(3, [(0, 1), (0, 2)]), "bounded posets"),
+])
+def test_violates_rejects_an_instance_outside_what_the_theorem_ranges_over(theorem_id, instance, over):
+    assert THEOREMS[theorem_id].over == over
+    with pytest.raises(TypeError) as err:
+        violates(theorem_id, instance)
+    assert str(err.value) == f"{theorem_id} quantifies over {over}"
+
+
+def test_violates_on_posets_takes_any_poset_and_reads_a_lattice_as_its_poset():
+    antichain = mk_poset(2).restrict([1, 2])  # no bottom, no top
+    assert THEOREMS["CHAINS_NO_LU"].over == "posets"
+    assert violates("CHAINS_NO_LU", antichain) is None  # the hypothesis wants a top
+    ce = violates("CHAINS_NO_LU", fixture("FIG5"))
+    assert ce is not None and ce.lattice is None
+    assert ce == violates("CHAINS_NO_LU", fixture_poset("FIG5"))
+    assert violates("ACUTE", fixture("FIG3")) is None  # clean on the bounded poset of FIG3
+
+
+@pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
+def test_violates_judges_every_instance_as_verify_does_up_to_5(theorem_id):
+    # at n <= 4 no theorem has a counterexample; at n <= 5 CHAINS_NO_LU,
+    # TH1_LCC_CONCLUSION and TH2_NO_COND5 have 120, 60 and 60
+    th = THEOREMS[theorem_id]
+    result = verify(theorem_id, EnumerationFilter(max_elements=5), collect_all=True)
+    flt = EnumerationFilter(max_elements=5, require_bounded=th.over != "posets")
+    instances = list(enumerate_posets(flt))
+    if th.over == "lattices":
+        instances = [ll for p in instances for ll in enumerate_completions(p)]
+        assert len(instances) == result.lattices_checked
+    else:
+        assert len(instances) == result.posets_checked
+    expected = iter(result.all_counterexamples)
+    for inst in instances:
+        ce = violates(theorem_id, inst)
+        if ce is not None:
+            want = next(expected)
+            assert (ce.witness, ce.note, ce.encoding()) == (want.witness, want.note, want.encoding())
+            assert ce.to_dict() == want.to_dict()
+    assert next(expected, None) is None
+
+
+def test_verify_budget_none_means_no_limit():
+    flt = EnumerationFilter(max_elements=5)
+    unlimited = verify("TH1", flt, budget=None)
+    assert unlimited.posets_skipped == 0
+    assert unlimited.to_dict() | {"elapsed_seconds": 0} == verify("TH1", flt).to_dict() | {
+        "elapsed_seconds": 0}
+    assert verify("MONO", flt, budget=None, collect_all=True).lattices_checked == 545
+
+
 def test_theorem_registry_shape():
     assert {"TH1", "TH2", "LEM1", "LEM2", "HEIGHT", "CHAINS", "ACUTE", "COR1",
             "MONO", "MODLAT"} <= set(THEOREMS)

@@ -6,6 +6,8 @@ must put every attribute back."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from lamlat import checkers, instances, lattice, poset, search
 from lamlat.search import EnumerationFilter
 
@@ -92,3 +94,33 @@ def test_traced_height_and_th2_runs_match_untraced():
                  "checkers.cond5"):
         assert spans[name][2] > 0, name
     assert tracer.cells["poset.Poset.is_directed"] == [0]  # the stream checks its options
+
+
+@pytest.mark.parametrize("theorem_id, max_n, collect_all", [
+    ("TH1", 4, False),  # lattices
+    ("ACUTE", 4, False),  # bounded posets
+    ("CHAINS", 4, False),  # posets
+    ("TH1_LCC_CONCLUSION", 5, False),  # first hit; n <= 4 has no counterexample
+    ("CHAINS_NO_LU", 5, True),
+])
+def test_traced_verify_counts_agree_with_its_result(theorem_id, max_n, collect_all):
+    # one traced hypothesis call per instance, made with search.verify as
+    # the innermost span, and validate's re-checks counted apart
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.run_id = 3
+    restore = tracing.install(tracer, (search, checkers, lattice, poset, instances))
+    try:
+        result = search.verify(theorem_id, EnumerationFilter(max_elements=max_n),
+                               collect_all=collect_all)
+        evaluated = tracer.counts["search.hypothesis.evaluated", 3]
+        assert all(ce.validate() for ce in result.all_counterexamples)
+    finally:
+        restore()
+    over = search.THEOREMS[theorem_id].over
+    assert tracing.integrity_problems(tracer, 3, result, over, collect_all) == []
+    assert evaluated == (result.lattices_checked if over == "lattices" else result.posets_checked)
+    assert tracer.counts["search.hypothesis.evaluated", 3] == evaluated
+    assert result.clean == (theorem_id in ("TH1", "ACUTE", "CHAINS"))
+    spans = tracing.totals(tracer)["spans"]
+    assert spans.get("search.violates.hypothesis", (0, 0, 0))[2] == len(result.all_counterexamples)
