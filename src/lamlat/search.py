@@ -301,23 +301,15 @@ def _concl_lemma1(ll) -> Verdict:
 
 
 def _concl_convex_restrictions_semimodular(ll) -> Verdict:
-    inc = ll.poset._incomparable
-    for subset in convex_closed_subsets(ll):
-        mask = 0
-        for x in subset:
-            mask |= 1 << x
-        for x in subset:
-            if inc[x] & mask:
-                break
-        else:
-            continue  # a chain has no incomparable pair, so no semimodularity frame
-        v = checkers.is_semimodular(ll.restrict(subset))
-        if not v.holds:
-            return Verdict(
-                False, tuple(sorted(subset)),
-                f"restriction fails semimodularity at {v.witness}",
-            )
-    return HOLDS
+    # A convex S closed under both operations that holds x || y holds x ^ y,
+    # every z and u of their semimodularity frame and each z v u, so S's
+    # restriction fails exactly at ll's failing triples inside S. The whole
+    # carrier is such an S, so only a failure walks them, to name the least.
+    if checkers.is_semimodular(ll).holds:
+        return HOLDS
+    tried = ((s, checkers.is_semimodular(ll.restrict(s))) for s in convex_closed_subsets(ll))
+    subset, v = next((s, v) for s, v in tried if not v.holds)
+    return Verdict(False, tuple(sorted(subset)), f"restriction fails semimodularity at {v.witness}")
 
 
 def _concl_equal_chain_lengths(p) -> Verdict:
@@ -561,6 +553,12 @@ class VerificationResult:
         }
 
 
+def _check_budget(budget: int | None) -> None:
+    """None means no limit; a budget below 1 would skip every poset and is rejected."""
+    if budget is not None and budget < 1:
+        raise ArgumentError(f"the completion budget must be at least 1, got {budget}")
+
+
 def _judge(th: Theorem, poset: Poset, lattice: LambdaLattice | None) -> Counterexample | None:
     """th judged on the lattice if given, else the poset: a Counterexample, or None if it holds."""
     instance = poset if lattice is None else lattice
@@ -605,12 +603,10 @@ def verify(
     budget is counted as skipped: enumerate_completions sizes it and
     raises BudgetError before any completion is built, never sampled;
     the others stream their completions lazily, so a first-hit run stops
-    building at the counterexample. A budget of None means no limit;
-    budgets below 1 would skip everything and are rejected.
+    building at the counterexample. Budgets pass _check_budget.
     """
     th = _lookup(theorem_id)
-    if budget is not None and budget < 1:
-        raise ArgumentError(f"the completion budget must be at least 1, got {budget}")
+    _check_budget(budget)
     if flt is None:
         flt = EnumerationFilter(max_elements=th.default_max_elements)
     eff = _poset_filter(th.over, flt)
@@ -661,13 +657,16 @@ def independence_table(
     flt: EnumerationFilter | None = None,
     instances=None,
     *,
-    budget: int = DEFAULT_COMPLETION_BUDGET,
+    budget: int | None = DEFAULT_COMPLETION_BUDGET,
 ) -> frozenset[tuple[bool, bool, bool]]:
     """Realized (semimodular, wlcc, lcc) truth triples.
 
     Classifies either the given instances or every completion of every
-    directed poset passing the filter.
+    directed poset passing the filter. Budgets pass _check_budget, but an
+    over-budget poset raises BudgetError: a set of triples cannot report a
+    skipped poset, and a partial table would be a silent skip.
     """
+    _check_budget(budget)
     if instances is None:
         if flt is None:
             raise ArgumentError("need a filter or explicit instances")

@@ -351,8 +351,8 @@ def convex_closed_subsets_naive(n, rel, join, meet):
     for mask in range(1, 1 << n):
         s = {x for x in range(n) if mask >> x & 1}
         closed = all(join[x][y] in s and meet[x][y] in s for x in s for y in s)
-        between = {z for x in s for y in s for z in range(n) if (x, z) in rel and (z, y) in rel}
-        if closed and between <= s:
+        if closed and all(z in s for x in s for y in s if (x, y) in rel
+                          for z in range(n) if (x, z) in rel and (z, y) in rel):
             found.append(frozenset(s))
     return found
 

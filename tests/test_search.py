@@ -18,7 +18,6 @@ from lamlat import (
     acute,
     check_axioms,
     completion_count,
-    convex_closed_subsets,
     enumerate_completions,
     enumerate_posets,
     from_choice,
@@ -27,7 +26,7 @@ from lamlat import (
     verify,
     violates,
 )
-from lamlat import checkers
+from lamlat import checkers, search
 from lamlat.fixtures import fixture, fixture_poset
 from lamlat.poset import _BoundedPoset, _validate_order
 from lamlat.search import THEOREMS, _all_masks, _bounded_posets, _merge_runs
@@ -35,6 +34,7 @@ from lamlat.verdict import HOLDS
 
 from oracles import (
     all_labeled_posets_naive,
+    convex_closed_subsets_naive,
     has_bottom,
     has_top,
     is_directed_naive,
@@ -382,6 +382,27 @@ def test_sizes_and_budgets_below_one_rejected(call):
     assert isinstance(err.value, LamlatError) and isinstance(err.value, ValueError)
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+@pytest.mark.parametrize("run", [
+    lambda budget: verify("MONO", EnumerationFilter(max_elements=3), budget=budget),
+    lambda budget: independence_table(EnumerationFilter(max_elements=3), budget=budget),
+    lambda budget: independence_table(instances=[fixture("FIG2")], budget=budget),
+])
+def test_verify_and_independence_table_share_one_budget_check(run, budget):
+    with pytest.raises(ArgumentError) as err:
+        run(budget)
+    assert str(err.value) == f"the completion budget must be at least 1, got {budget}"
+
+
+def test_independence_table_raises_over_budget_and_takes_no_limit():
+    # a table of triples cannot report a skipped poset, so it never skips
+    flt = EnumerationFilter(max_elements=5)
+    with pytest.raises(BudgetError) as err:
+        independence_table(flt, budget=1)
+    assert str(err.value) == "2 completions exceed the budget of 1"
+    assert independence_table(flt, budget=None) == independence_table(flt)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: Poset([]), "a poset needs at least one element"),
     (lambda: Poset.from_covers(0, []), "a poset needs at least one element"),
@@ -461,23 +482,40 @@ def test_height_is_refuted_at_seven():
     assert r.counterexample.validate()
 
 
-def test_lem2_checks_every_convex_closed_subset_but_chains(monkeypatch, completions_upto5):
-    # a chain has no semimodularity frame, so LEM2 skips it; every other
-    # convex closed subset must still reach is_semimodular, or the check is vacuous
-    checked = []
-    monkeypatch.setattr(checkers, "is_semimodular", lambda sub: checked.append(sub) or HOLDS)
-    conclusion = THEOREMS["LEM2"].conclusion
-    chains = 0
-    for ll in completions_upto5 + [fixture("FIG2")]:
+def test_lem2_conclusion_matches_a_definition_literal_walk(fixtures):
+    # every completion up to 6 that is not semimodular, and every fixture:
+    # the least convex closed subset from a scan of all subsets whose
+    # restriction fails semimodularity, or HOLDS if none does
+    def walk(ll):
         rel = relation_from_covers(ll.n, ll.poset.covers)
-        subsets = list(convex_closed_subsets(ll))
-        kept = [s for s in subsets
-                if any((x, y) not in rel and (y, x) not in rel for x in s for y in s)]
-        checked.clear()
-        assert conclusion(ll).holds
-        assert checked == [ll.restrict(s) for s in kept], ll.encoding()
-        chains += len(subsets) - len(kept)
-    assert chains > 0
+        for s in convex_closed_subsets_naive(ll.n, rel, ll.join_table, ll.meet_table):
+            v = checkers.is_semimodular(ll.restrict(s))
+            if not v.holds:
+                return False, tuple(sorted(s)), f"restriction fails semimodularity at {v.witness}"
+        return HOLDS.holds, HOLDS.witness, HOLDS.note
+
+    conclusion = THEOREMS["LEM2"].conclusion
+    flt = EnumerationFilter(max_elements=6, require_bounded=True)
+    failing = [ll for p in enumerate_posets(flt) for ll in enumerate_completions(p)
+               if not checkers.is_semimodular(ll).holds]
+    failures = proper = 0
+    for ll in failing + list(fixtures.values()):
+        v = conclusion(ll)
+        assert (v.holds, v.witness, v.note) == walk(ll), ll.encoding()
+        failures += not v.holds
+        proper += not v.holds and len(v.witness) < ll.n
+    assert (len(failing), failures, proper) == (9480, 9483, 1441)
+
+
+def test_lem2_verify_decides_from_semimodularity_alone(monkeypatch):
+    # LEM2's hypothesis is semimodularity, so a clean run walks no subset
+    def no_walk(ll):
+        raise AssertionError("convex closed subsets walked")
+
+    monkeypatch.setattr(search, "convex_closed_subsets", no_walk)
+    r = verify("LEM2", EnumerationFilter(max_elements=5))
+    assert r.clean
+    assert (r.posets_checked, r.lattices_checked, r.posets_skipped) == (425, 545, 0)
 
 
 def test_violates_on_fixture():

@@ -98,6 +98,7 @@ def test_traced_height_and_th2_runs_match_untraced():
 
 @pytest.mark.parametrize("theorem_id, max_n, collect_all", [
     ("TH1", 4, False),  # lattices
+    ("LEM2", 5, False),  # its conclusion calls the traced is_semimodular
     ("ACUTE", 4, False),  # bounded posets
     ("CHAINS", 4, False),  # posets
     ("TH1_LCC_CONCLUSION", 5, False),  # first hit; n <= 4 has no counterexample
@@ -121,6 +122,7 @@ def test_traced_verify_counts_agree_with_its_result(theorem_id, max_n, collect_a
     assert tracing.integrity_problems(tracer, 3, result, over, collect_all) == []
     assert evaluated == (result.lattices_checked if over == "lattices" else result.posets_checked)
     assert tracer.counts["search.hypothesis.evaluated", 3] == evaluated
-    assert result.clean == (theorem_id in ("TH1", "ACUTE", "CHAINS"))
+    assert result.clean == (theorem_id in ("TH1", "LEM2", "ACUTE", "CHAINS"))
+    assert tracer.counts["lattice.convex_closed_subsets.items", 3] == 0  # clean LEM2 walks none
     spans = tracing.totals(tracer)["spans"]
     assert spans.get("search.violates.hypothesis", (0, 0, 0))[2] == len(result.all_counterexamples)
