@@ -114,12 +114,17 @@ def _meet_steps(ll: LambdaLattice, steps) -> Verdict:
 
 
 def cond3(ll: LambdaLattice) -> Verdict:
-    """x || y, x || z and y < z force x ^ y <= x ^ z."""
+    """x || y, x || z and y < z force x ^ y <= x ^ z.
+
+    Equivalent to cond4 on a finite carrier: each c on a saturated chain
+    from y up to z is incomparable to x (c <= x gives y <= x, x <= c gives
+    x <= z), so cond4 applied cover by cover along the chain gives cond3.
+    """
     return _meet_steps(ll, ll.poset._up)
 
 
 def cond4(ll: LambdaLattice) -> Verdict:
-    """x || y, x || z and y -< z force x ^ y <= x ^ z."""
+    """x || y, x || z and y -< z force x ^ y <= x ^ z: cond3 on covers, equivalent to it when finite."""
     return _meet_steps(ll, ll.poset._covers_above)
 
 

@@ -8,6 +8,7 @@ when a property fails or a verification run produced a counterexample,
 import argparse
 import json
 import sys
+from itertools import product
 from pathlib import Path
 
 from .checkers import classify
@@ -24,14 +25,8 @@ from .search import DEFAULT_COMPLETION_BUDGET, EnumerationFilter, enumerate_pose
 # 7 elements; longer listings (labeled n = 7 alone has 6 129 859) would exhaust memory
 LISTING_CAP = 200_000
 
-_ROW_ORDER = (
-    (True, True, True),
-    (True, True, False),
-    (True, False, False),
-    (False, True, True),
-    (False, True, False),
-    (False, False, False),
-)
+# the six SM/WLCC/LCC rows the lower covering condition allows (LCC implies WLCC), yes first
+_ROW_ORDER = tuple(t for t in product((True, False), repeat=3) if t[1] or not t[2])
 
 
 def _load(spec: str) -> tuple[str, Poset | LambdaLattice]:
@@ -157,6 +152,8 @@ def _cmd_verify(args) -> int:
         lines.append(f"  witness: {ce.witness}")
         if ce.note:
             lines.append(f"  note: {ce.note}")
+    expected = "clean" if result.expected_clean else "a counterexample"
+    lines.append(f"expected: {expected} ({'met' if result.expectation_met else 'MISSED'})")
     lines.append(f"elapsed: {result.elapsed:.2f}s")
     _emit(args, result.to_dict(), "\n".join(lines) + "\n")
     return 0 if result.counterexample is None else 1

@@ -20,7 +20,7 @@ from .lattice import (
     _base_rows,
     _frozen,
     acute,
-    convex_closed_subsets,
+    convex_closed_subsets,  # noqa: F401  (bench/tracing.py rebinds search.convex_closed_subsets)
     from_choice,  # noqa: F401  (bench/tracing.py rebinds search.from_choice)
     is_distributive,
     is_lattice,
@@ -290,7 +290,7 @@ class Theorem:
     default_max_elements: int
     hypothesis: Callable
     conclusion: Callable  # instance -> Verdict
-    mutant: bool = False  # deliberately weakened variant; counterexamples expected
+    refuted_at: int | None = None  # least carrier size with a counterexample; None: always clean
 
 
 def _concl_lemma1(ll) -> Verdict:
@@ -298,18 +298,6 @@ def _concl_lemma1(ll) -> Verdict:
     if quad is None:
         return HOLDS
     return Verdict(False, quad, "all joins from the refuting quadruple agree")
-
-
-def _concl_convex_restrictions_semimodular(ll) -> Verdict:
-    # A convex S closed under both operations that holds x || y holds x ^ y,
-    # every z and u of their semimodularity frame and each z v u, so S's
-    # restriction fails exactly at ll's failing triples inside S. The whole
-    # carrier is such an S, so only a failure walks them, to name the least.
-    if checkers.is_semimodular(ll).holds:
-        return HOLDS
-    tried = ((s, checkers.is_semimodular(ll.restrict(s))) for s in convex_closed_subsets(ll))
-    subset, v = next((s, v) for s, v in tried if not v.holds)
-    return Verdict(False, tuple(sorted(subset)), f"restriction fails semimodularity at {v.witness}")
 
 
 def _concl_equal_chain_lengths(p) -> Verdict:
@@ -400,11 +388,12 @@ _register(Theorem(
     "LEM2", "convex closed subsets of a semimodular instance stay semimodular",
     over="lattices", default_max_elements=5,
     hypothesis=lambda ll: checkers.is_semimodular(ll).holds,
-    conclusion=_concl_convex_restrictions_semimodular,
+    # equivalent: a convex closed S holding x || y holds their semimodularity frame; the carrier is an S
+    conclusion=checkers.is_semimodular,
 ))
 _register(Theorem(
     "HEIGHT", "under the lower covering condition the height inequality holds",
-    over="lattices", default_max_elements=5,
+    over="lattices", default_max_elements=5, refuted_at=7,
     hypothesis=lambda ll: checkers.satisfies_lcc(ll).holds,
     conclusion=checkers.height_inequality,
 ))
@@ -439,35 +428,34 @@ _register(Theorem(
     conclusion=_concl_modular_implies_lattice,
 ))
 
-# drop-hypothesis and strengthened-conclusion variants; these are expected
-# to produce counterexamples and exist to prove the harness can find them
+# mutants drop a hypothesis or strengthen a conclusion, to show that the harness finds counterexamples
 _register(Theorem(
     "TH1_NO_COND3", "semimodularity alone implies the weak lower covering condition",
-    over="lattices", default_max_elements=6, mutant=True,
+    over="lattices", default_max_elements=6, refuted_at=6,
     hypothesis=lambda ll: checkers.is_semimodular(ll).holds,
     conclusion=checkers.satisfies_wlcc,
 ))
 _register(Theorem(
     "TH1_LCC_CONCLUSION", "semimodularity with cond3 implies the lower covering condition",
-    over="lattices", default_max_elements=5, mutant=True,
+    over="lattices", default_max_elements=5, refuted_at=5,
     hypothesis=lambda ll: checkers.is_semimodular(ll).holds and checkers.cond3(ll).holds,
     conclusion=checkers.satisfies_lcc,
 ))
 _register(Theorem(
     "TH2_NO_COND4", "semimodularity with cond5 implies the lower covering condition",
-    over="lattices", default_max_elements=6, mutant=True,
+    over="lattices", default_max_elements=6, refuted_at=6,
     hypothesis=lambda ll: checkers.is_semimodular(ll).holds and checkers.cond5(ll).holds,
     conclusion=checkers.satisfies_lcc,
 ))
 _register(Theorem(
     "TH2_NO_COND5", "semimodularity with cond4 implies the lower covering condition",
-    over="lattices", default_max_elements=6, mutant=True,
+    over="lattices", default_max_elements=6, refuted_at=5,
     hypothesis=lambda ll: checkers.is_semimodular(ll).holds and checkers.cond4(ll).holds,
     conclusion=checkers.satisfies_lcc,
 ))
 _register(Theorem(
     "CHAINS_NO_LU", "a top alone forces equal maximal chain lengths",
-    over="posets", default_max_elements=5, mutant=True,
+    over="posets", default_max_elements=5, refuted_at=5,
     hypothesis=lambda p: p.top is not None,
     conclusion=_concl_equal_chain_lengths,
 ))
@@ -533,11 +521,16 @@ class VerificationResult:
     counterexample: Counterexample | None
     elapsed: float
     scope: str
+    expected_clean: bool
     all_counterexamples: tuple[Counterexample, ...] = ()
 
     @property
     def clean(self) -> bool:
         return self.counterexample is None
+
+    @property
+    def expectation_met(self) -> bool:
+        return self.clean == self.expected_clean
 
     def to_dict(self) -> dict:
         return {
@@ -550,6 +543,8 @@ class VerificationResult:
             "counterexamples_found": len(self.all_counterexamples),
             "elapsed_seconds": round(self.elapsed, 6),
             "scope": self.scope,
+            "expected_clean": self.expected_clean,
+            "expectation_met": self.expectation_met,
         }
 
 
@@ -649,6 +644,7 @@ def verify(
         counterexample=found[0] if found else None,
         elapsed=elapsed,
         scope=scope,
+        expected_clean=th.refuted_at is None or eff.max_elements < th.refuted_at,
         all_counterexamples=tuple(found),
     )
 

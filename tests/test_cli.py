@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,21 @@ def test_verify_json(capsys):
     assert doc["theorem"] == "MONO"
     assert doc["counterexample"] is None
     assert doc["posets_checked"] == 1 + 2 + 6
+
+
+@pytest.mark.parametrize("theorem_id, refuted_at, code, expected", [
+    ("TH1", 3, 0, "a counterexample"),  # clean, but registered as refuted
+    ("CHAINS_NO_LU", None, 1, "clean"),  # refuted, but registered as clean
+])
+def test_verify_reports_a_missed_expectation_and_keeps_its_exit_code(
+        monkeypatch, capsys, theorem_id, refuted_at, code, expected):
+    th = lamlat.search.THEOREMS[theorem_id]
+    monkeypatch.setitem(lamlat.search.THEOREMS, theorem_id, replace(th, refuted_at=refuted_at))
+    assert main(["verify", theorem_id, "--max-n", "5"]) == code
+    assert f"expected: {expected} (MISSED)\n" in capsys.readouterr().out
+    assert main(["verify", theorem_id, "--max-n", "5", "--json"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["expected_clean"], doc["expectation_met"]) == (expected == "clean", False)
 
 
 def test_verify_unknown_theorem(capsys):

@@ -26,11 +26,10 @@ from lamlat import (
     verify,
     violates,
 )
-from lamlat import checkers, search
+from lamlat import checkers
 from lamlat.fixtures import fixture, fixture_poset
 from lamlat.poset import _BoundedPoset, _validate_order
 from lamlat.search import THEOREMS, _all_masks, _bounded_posets, _merge_runs
-from lamlat.verdict import HOLDS
 
 from oracles import (
     all_labeled_posets_naive,
@@ -435,12 +434,6 @@ def test_unbudgeted_completions_allowed():
     assert len(list(enumerate_completions(fixture_poset("FIG3"), budget=None))) == 9
 
 
-def test_mutant_lcc_conclusion_finds_counterexample():
-    r = verify("TH1_LCC_CONCLUSION", EnumerationFilter(max_elements=5))
-    assert r.counterexample is not None
-    assert r.counterexample.validate()
-
-
 def test_mutant_chains_no_lu_finds_counterexample():
     r = verify("CHAINS_NO_LU", EnumerationFilter(max_elements=5))
     ce = r.counterexample
@@ -482,37 +475,31 @@ def test_height_is_refuted_at_seven():
     assert r.counterexample.validate()
 
 
-def test_lem2_conclusion_matches_a_definition_literal_walk(fixtures):
-    # every completion up to 6 that is not semimodular, and every fixture:
-    # the least convex closed subset from a scan of all subsets whose
-    # restriction fails semimodularity, or HOLDS if none does
-    def walk(ll):
+def test_lem2_statement_holds_literally_on_every_completion_up_to_5(fixtures, completions_upto5):
+    # the paper's statement read literally: on a semimodular instance every
+    # convex subset closed under both operations restricts to a semimodular
+    # lambda-lattice; on any other instance the whole carrier is such a
+    # subset and fails
+    semimodular = failing = subsets = 0
+    for ll in completions_upto5 + list(fixtures.values()):
         rel = relation_from_covers(ll.n, ll.poset.covers)
-        for s in convex_closed_subsets_naive(ll.n, rel, ll.join_table, ll.meet_table):
-            v = checkers.is_semimodular(ll.restrict(s))
-            if not v.holds:
-                return False, tuple(sorted(s)), f"restriction fails semimodularity at {v.witness}"
-        return HOLDS.holds, HOLDS.witness, HOLDS.note
-
-    conclusion = THEOREMS["LEM2"].conclusion
-    flt = EnumerationFilter(max_elements=6, require_bounded=True)
-    failing = [ll for p in enumerate_posets(flt) for ll in enumerate_completions(p)
-               if not checkers.is_semimodular(ll).holds]
-    failures = proper = 0
-    for ll in failing + list(fixtures.values()):
-        v = conclusion(ll)
-        assert (v.holds, v.witness, v.note) == walk(ll), ll.encoding()
-        failures += not v.holds
-        proper += not v.holds and len(v.witness) < ll.n
-    assert (len(failing), failures, proper) == (9480, 9483, 1441)
+        closed = convex_closed_subsets_naive(ll.n, rel, ll.join_table, ll.meet_table)
+        if checkers.is_semimodular(ll).holds:
+            semimodular += 1
+            for s in closed:
+                subsets += 1
+                assert checkers.is_semimodular(ll.restrict(s)).holds, (ll.encoding(), s)
+        else:
+            failing += 1
+            assert frozenset(range(ll.n)) in closed, ll.encoding()
+            assert not checkers.is_semimodular(ll.restrict(range(ll.n))).holds, ll.encoding()
+    # 425 + 4 fixtures semimodular with 5 671 + 88 subsets, 120 + 3 fixtures not
+    assert (semimodular, subsets, failing) == (429, 5759, 123)
 
 
-def test_lem2_verify_decides_from_semimodularity_alone(monkeypatch):
-    # LEM2's hypothesis is semimodularity, so a clean run walks no subset
-    def no_walk(ll):
-        raise AssertionError("convex closed subsets walked")
-
-    monkeypatch.setattr(search, "convex_closed_subsets", no_walk)
+def test_lem2_verify_decides_from_semimodularity_alone():
+    # LEM2's hypothesis is semimodularity and so is its conclusion: a run walks no subset
+    assert THEOREMS["LEM2"].conclusion is checkers.is_semimodular
     r = verify("LEM2", EnumerationFilter(max_elements=5))
     assert r.clean
     assert (r.posets_checked, r.lattices_checked, r.posets_skipped) == (425, 545, 0)
@@ -582,8 +569,25 @@ def test_verify_budget_none_means_no_limit():
 def test_theorem_registry_shape():
     assert {"TH1", "TH2", "LEM1", "LEM2", "HEIGHT", "CHAINS", "ACUTE", "COR1",
             "MONO", "MODLAT"} <= set(THEOREMS)
-    assert THEOREMS["TH1_NO_COND3"].mutant
-    assert not THEOREMS["TH1"].mutant
+    assert {tid: th.refuted_at for tid, th in THEOREMS.items() if th.refuted_at is not None} == {
+        "HEIGHT": 7, "TH1_NO_COND3": 6, "TH1_LCC_CONCLUSION": 5, "TH2_NO_COND4": 6,
+        "TH2_NO_COND5": 5, "CHAINS_NO_LU": 5,
+    }
+
+
+@pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
+def test_every_theorem_meets_its_expectation_and_is_refuted_where_registered(theorem_id):
+    th = THEOREMS[theorem_id]
+    r = verify(theorem_id)
+    assert r.expected_clean == (th.refuted_at is None or th.default_max_elements < th.refuted_at)
+    assert r.expectation_met
+    if th.refuted_at is not None:
+        below = verify(theorem_id, EnumerationFilter(max_elements=th.refuted_at - 1))
+        at = verify(theorem_id, EnumerationFilter(max_elements=th.refuted_at))
+        assert below.clean and below.expectation_met
+        assert not at.clean and at.expectation_met
+        assert at.counterexample.poset.n == th.refuted_at
+        assert at.counterexample.validate()
 
 
 def test_semimodular_lattices_satisfy_lcc_up_to_n6():
