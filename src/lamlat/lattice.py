@@ -370,14 +370,23 @@ def acute(p: Poset) -> LambdaLattice:
     """The completion sending every incomparable pair to (top, bottom).
 
     Top and bottom bound every pair, so the tables meet the contract and
-    are built trusted; equal to from_choice(p, None, fill="acute").
+    are built trusted; equal to from_choice(p, None, fill="acute"). Only
+    the rows holding an incomparable cell are rebuilt; the others are the
+    cached _base_row tuples.
     """
     if p.bounds() is None:
         raise UnboundedError("the acute completion needs a bounded poset")
-    jt, mt = _base_rows(p)
-    for x, y in p._incomparable_cells:
-        jt[x][y], mt[x][y] = p.top, p.bottom
-    return LambdaLattice._from_tables(p, _frozen(jt), _frozen(mt))
+    n, inc, top, bottom = p.n, p._incomparable, p.top, p.bottom
+    jt, mt = [], []
+    for (j, m), row in zip(map(_base_row, repeat(n), range(n), p._up, p._down), inc):
+        if row:
+            j, m = list(j), list(m)
+            for y in _bits(row):
+                j[y], m[y] = top, bottom
+            j, m = tuple(j), tuple(m)
+        jt.append(j)
+        mt.append(m)
+    return LambdaLattice._from_tables(p, tuple(jt), tuple(mt))
 
 
 # ----- algebra-level predicates -----

@@ -17,7 +17,7 @@ from . import checkers
 from .errors import ArgumentError, BudgetError, NotDirectedError, UnknownTheoremError
 from .lattice import (
     LambdaLattice,
-    _base_rows,
+    _base_row,
     _frozen,
     acute,
     convex_closed_subsets,  # noqa: F401  (bench/tracing.py rebinds search.convex_closed_subsets)
@@ -229,13 +229,25 @@ def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:
         yield from filter(Poset.is_canonical, posets) if f.canonical_only else posets
 
 
-def _completion_options(p: Poset) -> list[list[tuple[int, int]]]:
-    """Per incomparable pair, every (common upper, common lower) bound, in sorted order."""
-    up, down = p._up, p._down
-    return [
-        [(u, l) for u in _bits(up[x] & up[y]) for l in _bits(down[x] & down[y])]
-        for x, y in p.incomparable_pairs
-    ]
+def _completion_parts(p: Poset) -> tuple[list, list, list, list]:
+    """One pass over p's rows: its shared base rows, its incomparable pairs and their options.
+
+    The join and meet rows are the cached _base_row tuples. cells holds
+    each incomparable pair (x, y) with x < y, ascending, and digits two
+    option tuples per cell: its common upper bounds, then its common
+    lower bounds, each ascending.
+    """
+    n, up, down, inc = p.n, p._up, p._down, p._incomparable
+    jt, mt, cells, digits = [], [], [], []
+    for x, (j, m) in enumerate(map(_base_row, repeat(n), range(n), up, down)):
+        if inc[x]:
+            j, m = list(j), list(m)
+            for y in _bits(inc[x] >> x + 1 << x + 1):
+                cells.append((x, y))
+                digits += _bits(up[x] & up[y]), _bits(down[x] & down[y])
+        jt.append(j)
+        mt.append(m)
+    return jt, mt, cells, digits
 
 
 def enumerate_completions(
@@ -248,25 +260,28 @@ def enumerate_completions(
     and bound order. A poset that is not directed raises
     NotDirectedError: on a finite carrier that is an incomparable pair
     with no common upper or no common lower bound, so an empty option
-    list. The budget is decided before anything is built:
-    BudgetError when the product exceeds it (None means no limit); it
-    never samples. Comparable cells take max and min once per poset; each
-    completion writes only its incomparable cells, whose options are bits
-    of the bound masks and so legal by construction, and is built trusted.
+    tuple. The budget is decided before anything is built, as the
+    product of the option counts: BudgetError when it exceeds the budget
+    (None means no limit); it never samples. Rows, pairs and options
+    come from one pass over the poset (_completion_parts). A completion
+    copies only the rows that hold an incomparable cell, writes its
+    options there and freezes them again; every other row is the
+    poset's cached tuple, shared by all its completions. The options are
+    bits of the bound masks, so legal by construction, and each
+    completion is built trusted.
     """
-    pairs = p.incomparable_pairs
-    options = _completion_options(p)
-    if not all(options):
+    jt, mt, cells, digits = _completion_parts(p)
+    if not all(digits):
         raise NotDirectedError("completions need a directed poset")
     if budget is not None:
-        total = prod(map(len, options))
+        total = prod(map(len, digits))
         if total > budget:
             raise BudgetError(
                 f"{total} completions exceed the budget of {budget}", required=total
             )
-    jt, mt = _base_rows(p)
-    for combo in product(*options):
-        for (x, y), (u, l) in zip(pairs, combo):
+    for combo in product(*digits):
+        it = iter(combo)
+        for (x, y), u, l in zip(cells, it, it):
             jt[x][y] = jt[y][x] = u
             mt[x][y] = mt[y][x] = l
         yield LambdaLattice._from_tables(p, _frozen(jt), _frozen(mt))
@@ -274,7 +289,7 @@ def enumerate_completions(
 
 def completion_count(p: Poset) -> int:
     """Size of the completion stream without generating it."""
-    return prod(map(len, _completion_options(p)))
+    return prod(map(len, _completion_parts(p)[3]))
 
 
 # ----- theorem registry -----

@@ -1,6 +1,6 @@
 import pytest
 
-from lamlat import EnumerationFilter, catalog, enumerate_completions, enumerate_posets
+from lamlat import EnumerationFilter, catalog, enumerate_completions, enumerate_posets, verify
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +32,19 @@ def bounded_upto6():
     out = list(enumerate_posets(EnumerationFilter(max_elements=6, require_bounded=True)))
     assert len(out) == 6995
     return out
+
+
+@pytest.fixture(scope="session")
+def default_run():
+    """verify(theorem_id) at the theorem's default range, run once per session."""
+    results = {}
+
+    def run(theorem_id):
+        if theorem_id not in results:
+            results[theorem_id] = verify(theorem_id)
+        return results[theorem_id]
+
+    return run
 
 
 def idx(instance, name):

@@ -115,17 +115,20 @@ def test_criterion_3_construction_soundness(capsys):
         _ok(3, f"construction soundness: {completions} completions, 0 axiom failures")
 
 
-def test_criterion_4_theorem_suite(capsys):
+def test_criterion_4_theorem_suite(capsys, default_run):
+    # every id's default range is the one this criterion names
     lattice_level = ["TH1", "TH2", "LEM1", "LEM2", "HEIGHT", "MONO", "MODLAT"]
     poset_level = ["CHAINS", "ACUTE", "COR1"]
     with capsys.disabled():
         for tid in lattice_level:
-            r = verify(tid, EnumerationFilter(max_elements=5))
+            r = default_run(tid)
+            assert r.max_elements == 5, tid
             assert r.counterexample is None, tid
             print(f"  verify({tid}) n<=5: counterexample=none "
                   f"({r.posets_checked} posets, {r.lattices_checked} completions)")
         for tid in poset_level:
-            r = verify(tid, EnumerationFilter(max_elements=6))
+            r = default_run(tid)
+            assert r.max_elements == 6, tid
             assert r.counterexample is None, tid
             print(f"  verify({tid}) n<=6: counterexample=none ({r.posets_checked} posets)")
         _ok(4, "theorem suite clean")

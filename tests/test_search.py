@@ -1,6 +1,6 @@
 import hashlib
 import tracemalloc
-from itertools import islice, product
+from itertools import chain, islice, product
 from types import SimpleNamespace
 
 import pytest
@@ -310,6 +310,35 @@ def test_stream_ascends_by_encoding_at_six():
     assert total == 19955
 
 
+# sha256 over bytes((n, *join rows, *meet rows)) of every completion of the
+# bounded posets with at most 6 elements, in stream order; taken from the
+# stream before its completions shared the rows they do not change
+COMPLETIONS_UPTO6_SHA256 = "b6603910a2c502c9134a66c965caafa1e1b555aa1ebfbbcd48feb5f6633a770f"
+
+
+def test_completion_stream_up_to_six_is_pinned():
+    digest, total = hashlib.sha256(), 0
+    for p in enumerate_posets(EnumerationFilter(max_elements=6, require_bounded=True)):
+        for ll in enumerate_completions(p):
+            digest.update(bytes((p.n, *chain.from_iterable(ll.join_table + ll.meet_table))))
+            total += 1
+    assert total == 19955
+    assert digest.hexdigest() == COMPLETIONS_UPTO6_SHA256
+
+
+@pytest.mark.parametrize("name", ["FIG3", "FIG6"])
+def test_completions_share_the_rows_they_do_not_change(name):
+    # a row without incomparable cells is one tuple for every completion
+    # and for acute; the rows with such cells are rebuilt as tuples
+    p = fixture_poset(name)
+    inc = p._incomparable
+    first, *rest = enumerate_completions(p)
+    for ll in (*rest, acute(p)):
+        for table, shared in ((ll.join_table, first.join_table), (ll.meet_table, first.meet_table)):
+            assert type(table) is tuple and all(type(row) is tuple for row in table)
+            assert [table[x] is shared[x] for x in range(p.n)] == [not row for row in inc]
+
+
 def test_completions_need_directed():
     with pytest.raises(NotDirectedError):
         list(enumerate_completions(Poset([[1, 0], [0, 1]])))
@@ -576,9 +605,9 @@ def test_theorem_registry_shape():
 
 
 @pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
-def test_every_theorem_meets_its_expectation_and_is_refuted_where_registered(theorem_id):
+def test_every_theorem_meets_its_expectation_and_is_refuted_where_registered(theorem_id, default_run):
     th = THEOREMS[theorem_id]
-    r = verify(theorem_id)
+    r = default_run(theorem_id)
     assert r.expected_clean == (th.refuted_at is None or th.default_max_elements < th.refuted_at)
     assert r.expectation_met
     if th.refuted_at is not None:
