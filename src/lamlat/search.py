@@ -230,19 +230,21 @@ def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:
 
 
 def _completion_parts(p: Poset) -> tuple[list, list, list, list]:
-    """One pass over p's rows: its shared base rows, its incomparable pairs and their options.
+    """Join rows, meet rows, incomparable pairs and options, from one pass over p's rows.
 
-    The join and meet rows are the cached _base_row tuples. cells holds
-    each incomparable pair (x, y) with x < y, ascending, and digits two
-    option tuples per cell: its common upper bounds, then its common
-    lower bounds, each ascending.
+    A row holding an incomparable cell is a list copy of its cached
+    _base_row tuple; every other row is that tuple. cells holds each
+    incomparable pair (x, y) with x < y, ascending, and digits two option
+    tuples per cell: its common upper bounds, then its common lower bounds.
     """
-    n, up, down, inc = p.n, p._up, p._down, p._incomparable
+    n, up, down = p.n, p._up, p._down
+    full = (1 << n) - 1
     jt, mt, cells, digits = [], [], [], []
     for x, (j, m) in enumerate(map(_base_row, repeat(n), range(n), up, down)):
-        if inc[x]:
+        inc = full & ~(up[x] | down[x])
+        if inc:
             j, m = list(j), list(m)
-            for y in _bits(inc[x] >> x + 1 << x + 1):
+            for y in _bits(inc >> x + 1 << x + 1):
                 cells.append((x, y))
                 digits += _bits(up[x] & up[y]), _bits(down[x] & down[y])
         jt.append(j)
@@ -262,13 +264,11 @@ def enumerate_completions(
     with no common upper or no common lower bound, so an empty option
     tuple. The budget is decided before anything is built, as the
     product of the option counts: BudgetError when it exceeds the budget
-    (None means no limit); it never samples. Rows, pairs and options
-    come from one pass over the poset (_completion_parts). A completion
-    copies only the rows that hold an incomparable cell, writes its
-    options there and freezes them again; every other row is the
-    poset's cached tuple, shared by all its completions. The options are
-    bits of the bound masks, so legal by construction, and each
-    completion is built trusted.
+    (None means no limit); it never samples. Each completion writes its
+    options into the list rows of _completion_parts and freezes only
+    those; the other rows are tuples already, shared by every completion
+    of p. The options are bits of the bound masks, so legal by
+    construction, and each completion is built trusted.
     """
     jt, mt, cells, digits = _completion_parts(p)
     if not all(digits):
