@@ -137,7 +137,6 @@ class LambdaLattice:
         if len(jt) != n or len(mt) != n:
             raise ArgumentError("operation tables must be n x n")
         up = p._up
-        base_j, base_m = _base_rows(p)
         for x in range(n):
             for y in range(x, n):
                 jv, mv = jt[x][y], mt[x][y]
@@ -146,7 +145,7 @@ class LambdaLattice:
                 if not (up[x] >> y & 1 or up[y] >> x & 1):
                     _check_bound(p, "join", x, y, jv)
                     _check_bound(p, "meet", x, y, mv)
-                elif (jv, mv) != (base_j[x][y], base_m[x][y]):
+                elif (jv, mv) != ((y, x) if up[x] >> y & 1 else (x, y)):
                     raise BadChoiceError(
                         f"comparable pair ({p.label(x)}, {p.label(y)}) must use max and min",
                         pair=(x, y),
@@ -309,17 +308,27 @@ def _base_row(n: int, x: int, up: int, down: int) -> tuple[tuple[int, ...], tupl
     return tuple(j), tuple(m)
 
 
-def _base_rows(p: Poset) -> tuple[list[list[int]], list[list[int]]]:
-    """Join and meet rows with max and min on comparable pairs, 0 on incomparable ones.
+def _completion_rows(p: Poset) -> tuple[list, list, list[Pair]]:
+    """Join rows, meet rows and incomparable pairs of p, from one pass over its rows.
 
-    The rows are fresh lists, copied from cached tuples, so callers may write to them.
+    Comparable cells hold max and min, incomparable ones 0. A row holding
+    an incomparable cell is a fresh list copy of its cached _base_row
+    tuple, for the caller to write; every other row is that tuple, shared
+    by every caller, which _frozen keeps as it is. The pairs are the
+    (x, y) with x < y and x || y, ascending.
     """
-    n = p.n
-    jt, mt = [], []
-    for j, m in map(_base_row, repeat(n), range(n), p._up, p._down):
-        jt.append(list(j))
-        mt.append(list(m))
-    return jt, mt
+    n, up, down = p.n, p._up, p._down
+    full = (1 << n) - 1
+    jt, mt, pairs = [], [], []
+    for x, (j, m) in enumerate(map(_base_row, repeat(n), range(n), up, down)):
+        inc = full & ~(up[x] | down[x])
+        if inc:
+            j, m = list(j), list(m)
+            for y in _bits(inc >> x + 1 << x + 1):
+                pairs.append((x, y))
+        jt.append(j)
+        mt.append(m)
+    return jt, mt, pairs
 
 
 def from_choice(p: Poset, choice: ChoiceSpec | None = None, *, fill: str = "forced") -> LambdaLattice:
@@ -339,10 +348,10 @@ def from_choice(p: Poset, choice: ChoiceSpec | None = None, *, fill: str = "forc
         raise NotDirectedError("a completion needs a directed poset")
     joins = dict(choice.joins) if choice is not None else {}
     meets = dict(choice.meets) if choice is not None else {}
-    jt, mt = _base_rows(p)
+    jt, mt, pairs = _completion_rows(p)
     sides = (("join", joins, jt, p.top, forced_join), ("meet", meets, mt, p.bottom, forced_meet))
     missing: list[tuple[str, int, int]] = []
-    for x, y in p.incomparable_pairs:
+    for x, y in pairs:
         for op, picks, table, acute_value, forced in sides:
             v = picks.pop((x, y), None)
             if v is None and fill != "none":
@@ -370,23 +379,15 @@ def acute(p: Poset) -> LambdaLattice:
     """The completion sending every incomparable pair to (top, bottom).
 
     Top and bottom bound every pair, so the tables meet the contract and
-    are built trusted; equal to from_choice(p, None, fill="acute"). Only
-    the rows holding an incomparable cell are rebuilt; the others are the
-    cached _base_row tuples.
+    are built trusted; equal to from_choice(p, None, fill="acute").
     """
     if p.bounds() is None:
         raise UnboundedError("the acute completion needs a bounded poset")
-    n, inc, top, bottom = p.n, p._incomparable, p.top, p.bottom
-    jt, mt = [], []
-    for (j, m), row in zip(map(_base_row, repeat(n), range(n), p._up, p._down), inc):
-        if row:
-            j, m = list(j), list(m)
-            for y in _bits(row):
-                j[y], m[y] = top, bottom
-            j, m = tuple(j), tuple(m)
-        jt.append(j)
-        mt.append(m)
-    return LambdaLattice._from_tables(p, tuple(jt), tuple(mt))
+    jt, mt, pairs = _completion_rows(p)
+    for x, y in pairs:
+        jt[x][y] = jt[y][x] = p.top
+        mt[x][y] = mt[y][x] = p.bottom
+    return LambdaLattice._from_tables(p, _frozen(jt), _frozen(mt))
 
 
 # ----- algebra-level predicates -----

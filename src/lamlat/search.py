@@ -17,7 +17,7 @@ from . import checkers
 from .errors import ArgumentError, BudgetError, NotDirectedError, UnknownTheoremError
 from .lattice import (
     LambdaLattice,
-    _base_row,
+    _completion_rows,
     _frozen,
     acute,
     convex_closed_subsets,  # noqa: F401  (bench/tracing.py rebinds search.convex_closed_subsets)
@@ -229,27 +229,12 @@ def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:
         yield from filter(Poset.is_canonical, posets) if f.canonical_only else posets
 
 
-def _completion_parts(p: Poset) -> tuple[list, list, list, list]:
-    """Join rows, meet rows, incomparable pairs and options, from one pass over p's rows.
-
-    A row holding an incomparable cell is a list copy of its cached
-    _base_row tuple; every other row is that tuple. cells holds each
-    incomparable pair (x, y) with x < y, ascending, and digits two option
-    tuples per cell: its common upper bounds, then its common lower bounds.
-    """
-    n, up, down = p.n, p._up, p._down
-    full = (1 << n) - 1
-    jt, mt, cells, digits = [], [], [], []
-    for x, (j, m) in enumerate(map(_base_row, repeat(n), range(n), up, down)):
-        inc = full & ~(up[x] | down[x])
-        if inc:
-            j, m = list(j), list(m)
-            for y in _bits(inc >> x + 1 << x + 1):
-                cells.append((x, y))
-                digits += _bits(up[x] & up[y]), _bits(down[x] & down[y])
-        jt.append(j)
-        mt.append(m)
-    return jt, mt, cells, digits
+def _bound_options(p: Poset, pairs) -> list[tuple[int, ...]]:
+    """Two option tuples per pair (x, y): its common upper bounds, then its common lower bounds."""
+    up, down, options = p._up, p._down, []
+    for x, y in pairs:
+        options += _bits(up[x] & up[y]), _bits(down[x] & down[y])
+    return options
 
 
 def enumerate_completions(
@@ -265,12 +250,13 @@ def enumerate_completions(
     tuple. The budget is decided before anything is built, as the
     product of the option counts: BudgetError when it exceeds the budget
     (None means no limit); it never samples. Each completion writes its
-    options into the list rows of _completion_parts and freezes only
+    options into the list rows of _completion_rows and freezes only
     those; the other rows are tuples already, shared by every completion
     of p. The options are bits of the bound masks, so legal by
     construction, and each completion is built trusted.
     """
-    jt, mt, cells, digits = _completion_parts(p)
+    jt, mt, pairs = _completion_rows(p)
+    digits = _bound_options(p, pairs)
     if not all(digits):
         raise NotDirectedError("completions need a directed poset")
     if budget is not None:
@@ -281,7 +267,7 @@ def enumerate_completions(
             )
     for combo in product(*digits):
         it = iter(combo)
-        for (x, y), u, l in zip(cells, it, it):
+        for (x, y), u, l in zip(pairs, it, it):
             jt[x][y] = jt[y][x] = u
             mt[x][y] = mt[y][x] = l
         yield LambdaLattice._from_tables(p, _frozen(jt), _frozen(mt))
@@ -289,7 +275,7 @@ def enumerate_completions(
 
 def completion_count(p: Poset) -> int:
     """Size of the completion stream without generating it."""
-    return prod(map(len, _completion_parts(p)[3]))
+    return prod(map(len, _bound_options(p, p.incomparable_pairs)))
 
 
 # ----- theorem registry -----

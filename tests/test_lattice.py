@@ -30,7 +30,7 @@ from lamlat import (
     mk_poset,
 )
 from lamlat.fixtures import FIXTURE_NAMES, fixture, fixture_poset
-from lamlat.lattice import _base_rows
+from lamlat.lattice import _completion_rows
 from lamlat.verdict import HOLDS
 
 from oracles import (
@@ -52,7 +52,8 @@ def test_base_rows_match_oracle_up_to_5_and_fixtures():
     posets += [fixture_poset(name) for name in FIXTURE_NAMES]
     for p in posets:
         rel = relation_from_covers(p.n, p.covers)
-        jt, mt = _base_rows(p)
+        jt, mt, pairs = _completion_rows(p)
+        assert pairs == list(p.incomparable_pairs)
         for x in range(p.n):
             for y in range(p.n):
                 if (x, y) in rel:
@@ -65,16 +66,20 @@ def test_base_rows_match_oracle_up_to_5_and_fixtures():
     assert len(posets) == 4473 + len(FIXTURE_NAMES)
 
 
-def test_base_rows_are_fresh_lists(bounded_upto6):
-    # callers write the incomparable cells into the rows they get
+def test_completion_rows_are_fresh_lists_only_where_callers_write(bounded_upto6):
+    # callers write the incomparable cells into the list rows they get;
+    # every other row is one cached tuple, shared by every call
     for p in (fixture_poset("FIG2"), *bounded_upto6[-50:]):
-        jt, mt = _base_rows(p)
+        jt, mt, _ = _completion_rows(p)
         before = [tuple(row) for row in jt + mt]
-        for row in jt + mt:
-            assert type(row) is list
-            row[:] = [-1] * p.n
-        jt, mt = _base_rows(p)
-        assert [tuple(row) for row in jt + mt] == before, p
+        for x, inc in enumerate(p._incomparable):
+            for row in (jt[x], mt[x]):
+                assert type(row) is (list if inc else tuple)
+                if inc:
+                    row[:] = [-1] * p.n
+        again, again_m, _ = _completion_rows(p)
+        assert [tuple(row) for row in again + again_m] == before, p
+        assert [again[x] is jt[x] for x in range(p.n)] == [not inc for inc in p._incomparable]
 
 
 def test_check_axioms_fixtures_pass(fixtures):
