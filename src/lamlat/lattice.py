@@ -298,14 +298,17 @@ def _check_bound(p: Poset, op: str, x: int, y: int, v) -> None:
 
 
 @lru_cache(maxsize=1 << 14)  # n <= 7 has fewer keys; the bound stops large inputs growing it
-def _base_row(n: int, x: int, up: int, down: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # x's join and meet rows, which depend only on the elements above and below x
+def _base_row(n: int, x: int, up: int, down: int) -> tuple[tuple, tuple, bool, tuple[Pair, ...]]:
+    # x's join and meet rows, whether x is incomparable to anything, and
+    # its incomparable pairs (x, y) with x < y; all depend only on the
+    # elements above and below x
     j, m = [0] * n, [0] * n
     for y in _bits(up):
         j[y], m[y] = y, x
     for y in _bits(down):
         j[y], m[y] = x, y
-    return tuple(j), tuple(m)
+    inc = ((1 << n) - 1) & ~(up | down)
+    return tuple(j), tuple(m), inc != 0, tuple([(x, y) for y in _bits(inc >> x + 1 << x + 1)])
 
 
 def _completion_rows(p: Poset) -> tuple[list, list, list[Pair]]:
@@ -317,15 +320,12 @@ def _completion_rows(p: Poset) -> tuple[list, list, list[Pair]]:
     by every caller, which _frozen keeps as it is. The pairs are the
     (x, y) with x < y and x || y, ascending.
     """
-    n, up, down = p.n, p._up, p._down
-    full = (1 << n) - 1
+    n = p.n
     jt, mt, pairs = [], [], []
-    for x, (j, m) in enumerate(map(_base_row, repeat(n), range(n), up, down)):
-        inc = full & ~(up[x] | down[x])
-        if inc:
+    for j, m, free, later in map(_base_row, repeat(n), range(n), p._up, p._down):
+        if free:
             j, m = list(j), list(m)
-            for y in _bits(inc >> x + 1 << x + 1):
-                pairs.append((x, y))
+            pairs += later
         jt.append(j)
         mt.append(m)
     return jt, mt, pairs
