@@ -1,9 +1,10 @@
 """Exhaustive enumeration of small posets and completions, plus the theorem harness.
 
-Enumeration is labeled (not isomorphism-reduced) by default. Every
-harness run is exhaustive over the requested size range, so a clean
-result is strong evidence for the checked statement at desk scale, not
-a proof of the general case; results say so explicitly.
+Enumeration is labeled (not isomorphism-reduced) by default. A clean
+harness run is exhaustive over the requested size range, so it is strong
+evidence for the checked statement at desk scale, not a proof of the
+general case; a counterexample refutes the statement. Each result's
+scope says which.
 """
 
 import time
@@ -599,7 +600,9 @@ def verify(
     budget is counted as skipped: enumerate_completions sizes it and
     raises BudgetError before any completion is built, never sampled;
     the others stream their completions lazily, so a first-hit run stops
-    building at the counterexample. Budgets pass _check_budget.
+    building at the counterexample. Budgets pass _check_budget. The
+    scope names what was searched and what the outcome shows: a clean run
+    is evidence, not a proof, and a counterexample refutes the statement.
     """
     th = _lookup(theorem_id)
     _check_budget(budget)
@@ -632,10 +635,14 @@ def verify(
     kind = "bounded posets" if eff.require_bounded else "posets"
     which = "one representative per isomorphism class of" if eff.canonical_only else "all labeled"
     tail = " and all their completions" if on_lattices else ""
-    scope = (
-        f"exhaustive over {which} {kind} with at most {eff.max_elements} elements{tail}; "
-        "evidence for the general statement, not a proof"
-    )
+    scope = f"{which} {kind} with at most {eff.max_elements} elements{tail}"
+    if not found:
+        scope = f"exhaustive over {scope}; evidence for the general statement, not a proof"
+    elif collect_all:
+        scope = f"exhaustive over {scope}; its counterexamples refute the statement"
+    else:
+        scope = (f"searched {scope} in encoding order up to the least counterexample, "
+                 "which refutes the statement")
     return VerificationResult(
         theorem_id=th.theorem_id,
         max_elements=eff.max_elements,

@@ -383,6 +383,18 @@ def test_verify_scope_names_what_was_enumerated():
     assert "labeled" not in canonical.scope
 
 
+def test_verify_scope_follows_the_outcome():
+    flt = EnumerationFilter(max_elements=5)
+    first, every = verify("CHAINS_NO_LU", flt), verify("CHAINS_NO_LU", flt, collect_all=True)
+    assert not first.clean and len(every.all_counterexamples) > 1
+    assert first.scope == ("searched all labeled posets with at most 5 elements in encoding order "
+                           "up to the least counterexample, which refutes the statement")
+    assert every.scope == ("exhaustive over all labeled posets with at most 5 elements; "
+                           "its counterexamples refute the statement")
+    for r in (first, every):
+        assert "evidence" not in r.scope
+
+
 def test_verify_unknown_id():
     with pytest.raises(UnknownTheoremError):
         verify("NOPE")
