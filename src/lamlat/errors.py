@@ -9,9 +9,9 @@ class ArgumentError(LamlatError, ValueError):
     """An argument is malformed: a size or budget below its allowed minimum,
     an empty poset or restriction, labels that are not one distinct string
     per element, a relabeling that is not a permutation, a choice spec with
-    a same-element or conflicting pair, an unknown fill policy, operation
-    tables that are empty, not square, of the wrong size or asymmetric, a
-    subset not closed under the operations, or nothing to classify."""
+    a same-element or conflicting pair, operation tables that are empty,
+    not square, of the wrong size or asymmetric, a subset not closed under
+    the operations, or nothing to classify."""
 
 
 class RangeError(LamlatError):

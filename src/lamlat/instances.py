@@ -106,8 +106,11 @@ def parse_instance(text: str) -> Poset | LambdaLattice:
             raise ParseError(f"duplicate {kind} assignment for {a}, {b}", lineno, col)
         target[key] = v
 
-    fill = "acute" if acute_flag else "forced"
-    return from_choice(poset, ChoiceSpec(joins, meets), fill=fill)
+    if acute_flag and poset.bounds() is not None:
+        for key in poset.incomparable_pairs:  # every open pair goes to (top, bottom)
+            joins.setdefault(key, poset.top)
+            meets.setdefault(key, poset.bottom)
+    return from_choice(poset, ChoiceSpec(joins, meets))
 
 
 def render_instance(obj: Poset | LambdaLattice) -> str:

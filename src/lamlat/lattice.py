@@ -331,31 +331,25 @@ def _completion_rows(p: Poset) -> tuple[list, list, list[Pair]]:
     return jt, mt, pairs
 
 
-def from_choice(p: Poset, choice: ChoiceSpec | None = None, *, fill: str = "forced") -> LambdaLattice:
+def from_choice(p: Poset, choice: ChoiceSpec | None = None) -> LambdaLattice:
     """Complete a directed poset into a lambda-lattice.
 
     Comparable pairs take max and min. For an incomparable pair the
     choice spec may pick any common upper/lower bound, not only a
-    minimal or maximal one. Pairs left out are filled according to
-    fill: "forced" assigns the unique minimal upper bound (unique
-    maximal lower bound) when there is exactly one, "acute" assigns
-    top and bottom throughout, "none" fills nothing. Whatever remains
-    unassigned raises IncompleteChoiceError.
+    minimal or maximal one. A pair left out takes its forced value: the
+    least upper bound (greatest lower bound) when there is one. Whatever
+    remains unassigned raises IncompleteChoiceError.
     """
-    if fill not in ("forced", "acute", "none"):
-        raise ArgumentError(f"unknown fill policy {fill!r}")
     if not p.is_directed():
         raise NotDirectedError("a completion needs a directed poset")
     joins = dict(choice.joins) if choice is not None else {}
     meets = dict(choice.meets) if choice is not None else {}
     jt, mt, pairs = _completion_rows(p)
-    sides = (("join", joins, jt, p.top, forced_join), ("meet", meets, mt, p.bottom, forced_meet))
+    sides = (("join", joins, jt, forced_join), ("meet", meets, mt, forced_meet))
     missing: list[tuple[str, int, int]] = []
     for x, y in pairs:
-        for op, picks, table, acute_value, forced in sides:
-            v = picks.pop((x, y), None)
-            if v is None and fill != "none":
-                v = acute_value if fill == "acute" else forced(p, x, y)
+        for op, picks, table, forced in sides:
+            v = picks.pop((x, y)) if (x, y) in picks else forced(p, x, y)
             if v is None:
                 missing.append((op, x, y))
             else:
@@ -379,7 +373,8 @@ def acute(p: Poset) -> LambdaLattice:
     """The completion sending every incomparable pair to (top, bottom).
 
     Top and bottom bound every pair, so the tables meet the contract and
-    are built trusted; equal to from_choice(p, None, fill="acute").
+    are built trusted; equal to from_choice with every pair picked as
+    (top, bottom).
     """
     if p.bounds() is None:
         raise UnboundedError("the acute completion needs a bounded poset")
@@ -468,8 +463,8 @@ def is_distributive(ll: LambdaLattice) -> bool:
 def convex_closed_subsets(ll: LambdaLattice) -> Iterator[frozenset[int]]:
     """Nonempty convex subsets closed under both tables, ascending by bitmask.
 
-    Convexity comes from the poset's cached convex masks, shared by all
-    its completions. Closure is tested on incomparable pairs only: a
+    Each mask from 1 to 2^n - 1 is tried in turn; convexity is
+    Poset.is_convex. Closure is tested on incomparable pairs only: a
     comparable pair's join and meet are the pair itself. Each yielded
     subset induces a lambda-lattice via LambdaLattice.restrict. Cost
     grows as 2^n; intended for n <= 12.
@@ -477,7 +472,9 @@ def convex_closed_subsets(ll: LambdaLattice) -> Iterator[frozenset[int]]:
     p = ll.poset
     jt, mt = ll.join_table, ll.meet_table
     pairs = p.incomparable_pairs
-    for mask in p._convex_masks:
+    for mask in range(1, 1 << p.n):
+        if not p.is_convex(_bits(mask)):
+            continue
         for x, y in pairs:
             if (mask >> x & 1 and mask >> y & 1
                     and not (mask >> jt[x][y] & 1 and mask >> mt[x][y] & 1)):

@@ -162,10 +162,7 @@ class Poset:
             for i in range(n):
                 if up[i] >> k & 1:
                     up[i] |= up[k]
-        for i in range(n):
-            for j in _bits(up[i] & ~(1 << i)):
-                if up[j] >> i & 1:
-                    raise CycleError(f"cover input creates a cycle through {i} and {j}")
+        _validate_order(n, up)  # the closure is reflexive and transitive: only a cycle fails
         return cls._from_masks(n, up, labels)
 
     # ----- relation queries -----
@@ -253,14 +250,6 @@ class Poset:
         return tuple(out)
 
     @_cached
-    def _covers_below(self) -> tuple[int, ...]:
-        below = [0] * self.n
-        for x in range(self.n):
-            for y in _bits(self._covers_above[x]):
-                below[y] |= 1 << x
-        return tuple(below)
-
-    @_cached
     def covers(self) -> tuple[tuple[int, int], ...]:
         """All covering pairs (x, y) with y covering x, lexicographic."""
         return tuple(
@@ -273,7 +262,7 @@ class Poset:
 
     def covers_below(self, x: int) -> tuple[int, ...]:
         _check_index(self.n, x)
-        return _bits(self._covers_below[x])
+        return tuple([w for w, row in enumerate(self._covers_above) if row >> x & 1])
 
     def is_cover(self, x: int, y: int) -> bool:
         """True iff y covers x."""
@@ -371,20 +360,6 @@ class Poset:
         return up & down == mask  # up & down: the members and all elements between two
 
     @_cached
-    def _convex_masks(self) -> tuple[int, ...]:
-        # every nonempty convex subset as a bitmask, ascending, by is_convex's
-        # rule; each mask's closures extend those of the mask without its lowest bit
-        ups, downs = [0] * (1 << self.n), [0] * (1 << self.n)
-        out = []
-        for m in range(1, 1 << self.n):
-            low = m & -m
-            i = low.bit_length() - 1
-            ups[m], downs[m] = ups[m ^ low] | self._up[i], downs[m ^ low] | self._down[i]
-            if ups[m] & downs[m] == m:
-                out.append(m)
-        return tuple(out)
-
-    @_cached
     def _incomparable(self) -> tuple[int, ...]:
         # per element: the mask of elements incomparable to it
         full = (1 << self.n) - 1
@@ -417,10 +392,10 @@ class Poset:
         return frozenset(_bits(self._covers_above[self.bottom]))
 
     def coatoms(self) -> frozenset[int]:
-        """Elements covered by the top element."""
+        """Elements covered by the top: those whose only cover is the top (any other is below it)."""
         if self.top is None:
             raise NoTopError("coatoms need a top element")
-        return frozenset(_bits(self._covers_below[self.top]))
+        return frozenset([x for x, row in enumerate(self._covers_above) if row == 1 << self.top])
 
     # ----- transformations -----
 

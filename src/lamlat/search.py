@@ -235,6 +235,8 @@ def _bound_options(p: Poset, pairs) -> list[tuple[int, ...]]:
     up, down, options = p._up, p._down, []
     for x, y in pairs:
         options += _bits(up[x] & up[y]), _bits(down[x] & down[y])
+    if not all(options):
+        raise NotDirectedError("completions need a directed poset")  # a pair lacks a bound
     return options
 
 
@@ -258,8 +260,6 @@ def enumerate_completions(
     """
     jt, mt, pairs = _completion_rows(p)
     digits = _bound_options(p, pairs)
-    if not all(digits):
-        raise NotDirectedError("completions need a directed poset")
     if budget is not None:
         total = prod(map(len, digits))
         if total > budget:
@@ -275,7 +275,7 @@ def enumerate_completions(
 
 
 def completion_count(p: Poset) -> int:
-    """Size of the completion stream without generating it."""
+    """Size of the completion stream without generating it; NotDirectedError as there."""
     return prod(map(len, _bound_options(p, p.incomparable_pairs)))
 
 

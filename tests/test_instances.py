@@ -5,6 +5,7 @@ from lamlat import (
     CycleError,
     IncompleteChoiceError,
     LambdaLattice,
+    NotDirectedError,
     ParseError,
     Poset,
     acute,
@@ -45,6 +46,11 @@ def test_parse_acute_keeps_explicit_choices():
     ll = parse_instance(src)
     assert ll.join_table[1][2] == 3  # explicit beats the acute fill
     assert ll.meet_table[3][4] == 0
+
+
+def test_parse_acute_on_an_unbounded_poset_is_not_directed():
+    with pytest.raises(NotDirectedError):
+        parse_instance("elements: 0 a b\ncovers: 0 < a  0 < b\nacute\n")
 
 
 def test_parse_bad_choice():

@@ -194,7 +194,7 @@ def test_from_choice_incomplete():
         from_choice(p, ChoiceSpec(meets={(3, 4): 1}))  # join(a, b) has no unique minimal bound
     assert (1, 2) in err.value.pairs
     with pytest.raises(IncompleteChoiceError):
-        from_choice(p, fill="none")
+        from_choice(p)  # join(a, b) has two minimal upper bounds, so no forced value
 
 
 def test_acute_fig3():
@@ -232,7 +232,9 @@ def test_acute_tables_match_the_acute_fill_on_bounded_posets_up_to_5():
     # acute builds its tables trusted; the validating from_choice path must agree
     posets = 0
     for p in enumerate_posets(EnumerationFilter(max_elements=5, require_bounded=True)):
-        ll, ref = acute(p), from_choice(p, None, fill="acute")
+        pairs = p.incomparable_pairs
+        spec = ChoiceSpec(dict.fromkeys(pairs, p.top), dict.fromkeys(pairs, p.bottom))
+        ll, ref = acute(p), from_choice(p, spec)
         assert (ll.join_table, ll.meet_table) == (ref.join_table, ref.meet_table), p
         posets += 1
     assert posets == 425
@@ -351,6 +353,19 @@ def test_restrict_and_forced_bounds_reject_bad_indices():
                 forced(ll.poset, x, y)
 
 
+def test_join_and_meet_read_the_tables_and_reject_bad_indices(fixtures):
+    for name, ll in fixtures.items():
+        n = ll.n
+        for x in range(n):
+            for y in range(n):
+                assert ll.join(x, y) == ll.join_table[x][y], (name, x, y)
+                assert ll.meet(x, y) == ll.meet_table[x][y], (name, x, y)
+        for op in (ll.join, ll.meet):
+            for x, y in ((-1, 0), (n, 0), (0, -1), (0, n), (True, 0)):
+                with pytest.raises(RangeError):
+                    op(x, y)
+
+
 def test_lambda_lattice_validates_tables():
     p = Poset.from_covers(2, [(0, 1)])
     with pytest.raises(BadChoiceError):
@@ -394,7 +409,7 @@ def random_completion(draw):
     for x, y in p.incomparable_pairs:
         joins[(x, y)] = draw(st.sampled_from(sorted(p.upper_bounds(x, y))))
         meets[(x, y)] = draw(st.sampled_from(sorted(p.lower_bounds(x, y))))
-    return from_choice(p, ChoiceSpec(joins, meets), fill="none")
+    return from_choice(p, ChoiceSpec(joins, meets))
 
 
 @given(random_completion())

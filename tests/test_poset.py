@@ -26,6 +26,7 @@ from oracles import (
     _heights,
     all_labeled_posets_naive,
     cover_paths,
+    cover_relation,
     equal_chain_lengths_failure,
     has_top,
     incomparable_cells_naive,
@@ -65,6 +66,8 @@ def test_cycle_rejected():
         Poset.from_covers(2, [(0, 1), (1, 0)])
     with pytest.raises(CycleError):
         Poset.from_covers(2, [(0, 0)])
+    with pytest.raises(CycleError, match="antisymmetry fails between 0 and 1"):
+        Poset.from_covers(3, [(0, 1), (1, 2), (2, 0)])
 
 
 def test_bad_cover_index():
@@ -351,6 +354,38 @@ def test_atoms_coatoms():
     assert p.coatoms() == {4, 5}
     m3 = mk_poset(3)
     assert m3.atoms() == m3.coatoms() == {1, 2, 3}
+
+
+def test_cover_and_dual_accessors_match_the_relation_on_all_posets_up_to_5():
+    # the relation is read off leq, the stored order; covers, atoms and
+    # coatoms are derived from it, so the oracle shares none of their rules
+    posets = bottoms = tops = 0
+    for p in enumerate_posets(EnumerationFilter(max_elements=5)):
+        n = p.n
+        rel = {(a, b) for a in range(n) for b in range(n) if p.leq(a, b)}
+        covers = cover_relation(n, rel)
+        for x in range(n):
+            assert p.covers_above(x) == tuple(sorted(b for a, b in covers if a == x)), (p, x)
+            assert p.covers_below(x) == tuple(sorted(a for a, b in covers if b == x)), (p, x)
+            assert p.up_set(x) == {b for b in range(n) if (x, b) in rel}, (p, x)
+            assert p.down_set(x) == {a for a in range(n) if (a, x) in rel}, (p, x)
+        bottom = next((b for b in range(n) if all((b, y) in rel for y in range(n))), None)
+        top = top_element(n, rel)
+        if bottom is None:
+            with pytest.raises(UnboundedError):
+                p.atoms()
+        else:
+            assert p.atoms() == {b for a, b in covers if a == bottom}, p
+            bottoms += 1
+        if top is None:
+            with pytest.raises(NoTopError):
+                p.coatoms()
+        else:
+            assert p.coatoms() == {a for a, b in covers if b == top}, p
+            tops += 1
+        posets += 1
+    assert posets == 4473
+    assert 0 < bottoms < posets and 0 < tops < posets
 
 
 def test_mk_poset_shapes():

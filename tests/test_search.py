@@ -284,7 +284,7 @@ def _product_of_choices(p):
     for combo in product(*options):
         joins = {pair: u for pair, (u, _) in zip(pairs, combo)}
         meets = {pair: l for pair, (_, l) in zip(pairs, combo)}
-        yield from_choice(p, ChoiceSpec(joins, meets), fill="none")
+        yield from_choice(p, ChoiceSpec(joins, meets))
 
 
 def test_trusted_stream_matches_validated_construction():
@@ -293,7 +293,7 @@ def test_trusted_stream_matches_validated_construction():
         stream = list(enumerate_completions(p))
         assert stream == list(_product_of_choices(p))
         for ll in stream:
-            assert ll == from_choice(p, ll.choice_spec(), fill="none")
+            assert ll == from_choice(p, ll.choice_spec())
             assert ll == LambdaLattice(p, ll.join_table, ll.meet_table)
         total += len(stream)
     assert total == 545
@@ -355,6 +355,23 @@ def test_not_directed_is_reported_before_the_budget(side, budget):
     assert p.incomparable_pairs == ((1, 2), (3, 4))
     with pytest.raises(NotDirectedError):
         list(enumerate_completions(p, budget))
+
+
+def test_completion_count_raises_where_the_stream_does_on_all_posets_up_to_4():
+    # both raise from the one check in _bound_options
+    posets = directed = 0
+    for p in enumerate_posets(EnumerationFilter(max_elements=4)):
+        posets += 1
+        if not is_directed_naive(p.n, relation_from_covers(p.n, p.covers)):
+            with pytest.raises(NotDirectedError):
+                completion_count(p)
+            with pytest.raises(NotDirectedError):
+                list(enumerate_completions(p))
+            continue
+        directed += 1
+        assert completion_count(p) == len(list(enumerate_completions(p))), p
+    assert posets == 1 + 3 + 19 + 219
+    assert 0 < directed < posets
 
 
 def test_all_small_completions_pass_axioms(small_completions):
@@ -458,7 +475,6 @@ def test_independence_table_raises_over_budget_and_takes_no_limit():
     (lambda: mk_poset(0), "antichain size must be at least 1"),
     (lambda: ChoiceSpec(joins={(1, 1): 3}), "(1, 1) is not a pair of distinct elements"),
     (lambda: ChoiceSpec(meets={(1, 2): 0, (2, 1): 3}), "conflicting assignments for pair (1, 2)"),
-    (lambda: from_choice(mk_poset(2), fill="least"), "unknown fill policy 'least'"),
     (lambda: LambdaLattice(Poset([[1, 1], [0, 1]]), [[0, 1], [0, 1]], [[0, 0], [0, 1]]),
      "tables must be symmetric at (0, 1)"),
     (lambda: acute(mk_poset(2)).restrict([1, 2]), "subset is not closed under the operations"),
