@@ -405,15 +405,26 @@ def is_lattice(ll: LambdaLattice) -> bool:
     return True
 
 
+def _inner(p: Poset) -> int:
+    """Mask of the elements strictly between the bottom and the top.
+
+    A lambda-lattice is bounded: two maximal elements would have no join.
+    """
+    return ((1 << p.n) - 1) & ~(1 << p.bottom | 1 << p.top)
+
+
 def _monotone_failure(ll: LambdaLattice, tables) -> tuple[int, int, int] | None:
     """The least (x, y, z) with x < y and t[x][z] not <= t[y][z] for one of the tables.
 
-    Only z incomparable to x or to y can fail: a chain's joins and meets are max and min.
+    Only z incomparable to x or to y can fail: a chain's joins and meets
+    are max and min. Neither can x = 0 (0 v z = z and 0 ^ z = 0) or
+    y = 1 (x v z <= 1 and x ^ z <= z = 1 ^ z), so x and y are inner.
     """
     p = ll.poset
     up, inc = p._up, p._incomparable
-    for x in range(p.n):
-        for y in _bits(up[x] & ~(1 << x)):
+    inner = _inner(p)
+    for x in _bits(inner):
+        for y in _bits(up[x] & inner & ~(1 << x)):
             for z in _bits(inc[x] | inc[y]):
                 for t in tables:
                     if not up[t[x][z]] >> t[y][z] & 1:
@@ -429,13 +440,16 @@ def is_monotone(ll: LambdaLattice) -> bool:
 def is_modular(ll: LambdaLattice) -> bool:
     """x <= z forces x v (y ^ z) = (x v y) ^ z for every y.
 
-    Only y incomparable to x or to z can fail: a chain is modular.
+    Only y incomparable to x or to z can fail: a chain is modular. Nor
+    can z = x (absorption), x = 0 (y ^ z on both sides) or z = 1
+    (x v y on both sides), so x < z are inner.
     """
     p = ll.poset
     inc = p._incomparable
     jt, mt = ll.join_table, ll.meet_table
-    for x in range(p.n):
-        for z in _bits(p._up[x]):
+    inner = _inner(p)
+    for x in _bits(inner):
+        for z in _bits(p._up[x] & inner & ~(1 << x)):
             for y in _bits(inc[x] | inc[z]):
                 if jt[x][mt[y][z]] != mt[jt[x][y]][z]:
                     return False
@@ -445,14 +459,17 @@ def is_modular(ll: LambdaLattice) -> bool:
 def is_distributive(ll: LambdaLattice) -> bool:
     """Both distributive laws over all triples.
 
-    Triples forming a chain are skipped: a chain is distributive.
+    Triples forming a chain are skipped: a chain is distributive. So are
+    triples holding a bound: with x = 0 or 1 both sides agree outright,
+    and with y or z = 0 or 1 they agree by absorption, so x, y and z are
+    inner.
     """
-    n = ll.n
     inc = ll.poset._incomparable
     jt, mt = ll.join_table, ll.meet_table
-    for x in range(n):
-        for y in range(n):
-            for z in range(n) if inc[x] >> y & 1 else _bits(inc[x] | inc[y]):
+    inner = _bits(_inner(ll.poset))
+    for x in inner:
+        for y in inner:
+            for z in inner if inc[x] >> y & 1 else _bits(inc[x] | inc[y]):
                 if mt[x][jt[y][z]] != jt[mt[x][y]][mt[x][z]]:
                     return False
                 if jt[x][mt[y][z]] != mt[jt[x][y]][jt[x][z]]:

@@ -288,6 +288,16 @@ def test_modularity_distributivity():
     assert is_modular(ll) and is_distributive(ll)
 
 
+def test_distributive_implies_modular_on_every_completion_up_to_6(fixtures, bounded_upto6):
+    # with x <= z the second distributive law reads x v (y ^ z) = (x v y) ^ z,
+    # so MODLAT needs no distributivity check once modularity has failed
+    instances = [ll for p in bounded_upto6 for ll in enumerate_completions(p)]
+    instances += fixtures.values()
+    distributive = [ll for ll in instances if is_distributive(ll)]
+    assert all(is_modular(ll) for ll in distributive)
+    assert (len(instances), len(distributive)) == (19962, 2805)
+
+
 def test_convex_closed_subsets_fig2():
     ll = fixture("FIG2")
     subsets = list(convex_closed_subsets(ll))

@@ -54,23 +54,35 @@ def test_traced_runs_match_untraced_and_restore_undoes_every_rebinding():
 
 
 def test_traced_collect_all_runs_match_untraced_through_the_lattice_predicates():
-    # MONO calls lattice.is_monotone and ACUTE calls lattice.acute, both
-    # through the names search imported
+    # MONO calls lattice.is_monotone, MODLAT lattice.is_modular on each
+    # non-lattice (the first ones have 5 elements) and never
+    # lattice.is_distributive, and ACUTE calls lattice.acute, all through
+    # the names search imported
     tracing = _load_tracing()
-    flt = EnumerationFilter(max_elements=4)
-    ids = ("MONO", "ACUTE", "TH1_LCC_CONCLUSION")
-    plain = {tid: _outcome(search.verify(tid, flt, collect_all=True)) for tid in ids}
+    max_n = {"MONO": 4, "MODLAT": 5, "ACUTE": 4, "TH1_LCC_CONCLUSION": 4}
+
+    def run_all():
+        return {tid: _outcome(search.verify(tid, EnumerationFilter(max_elements=n),
+                                            collect_all=True))
+                for tid, n in max_n.items()}
+
+    plain = run_all()
     before = _attributes()
     tracer = tracing.Tracer()
     restore = tracing.install(tracer, (search, checkers, lattice, poset, instances))
     try:
-        traced = {tid: _outcome(search.verify(tid, flt, collect_all=True)) for tid in ids}
+        traced = run_all()
     finally:
         restore()
     assert traced == plain
     assert _attributes() == before
     spans = tracing.totals(tracer)["spans"]
     assert spans["lattice.is_monotone"][2] == plain["MONO"][0]["lattices_checked"]
+    nonlattices = sum(not lattice.is_lattice(ll) for p in search.enumerate_posets(
+        EnumerationFilter(max_elements=5, require_bounded=True))
+        for ll in search.enumerate_completions(p))
+    assert spans["lattice.is_modular"][2] == nonlattices > 0
+    assert spans["lattice.is_distributive"][2] == 0
     assert spans["lattice.acute"][2] == plain["ACUTE"][0]["posets_checked"]
 
 
