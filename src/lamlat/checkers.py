@@ -223,7 +223,9 @@ def acute_characterization(p: Poset) -> AcuteCharacterization:
     k = None
     if not atoms:
         clause = AcuteClause.NO_ATOMS
-    elif len(atoms) == 1 and p._up[next(iter(atoms))] | 1 << p.bottom == (1 << p.n) - 1:
+    elif len(atoms) == 1:
+        # on a finite carrier each x above the bottom lies above a minimal
+        # element of (0, x], which is an atom: a unique atom is below them all
         clause = AcuteClause.UNIQUE_ATOM_BELOW_ALL
     else:
         k = mk_isomorphic(p)

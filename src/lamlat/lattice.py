@@ -221,10 +221,10 @@ class LambdaLattice:
         return LambdaLattice._from_tables(sub, _frozen(jt), _frozen(mt))
 
     def is_isomorphic(self, other: "LambdaLattice") -> bool:
-        """Isomorphic posets whose tables agree once both are relabeled least.
+        """Isomorphic posets whose tables agree once both are relabeled canonically.
 
-        Only the relabelings that make the poset least are tried, so the
-        encodings compared share their poset part.
+        Only the relabelings onto the poset's canonical form are tried, so
+        the encodings compared share their poset part.
         """
         return (self.poset.is_isomorphic(other.poset)
                 and _least_encoding(self) == _least_encoding(other))

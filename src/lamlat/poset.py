@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import permutations
+from itertools import chain, groupby, permutations, product
 from operator import and_
 from typing import Iterable, Sequence
 
@@ -313,20 +313,37 @@ class Poset:
         return [Chain((a, *c.elements)) for w in _bits(self._covers_above[a])
                 for c in self.maximal_chains_to_top(w)]
 
+    def _toward_bottom(self) -> list[int]:
+        # the elements by ascending up-set size: each comes after every element above it
+        if self.top is None:
+            raise NoTopError("poset has no top element")
+        return sorted(range(self.n), key=[row.bit_count() for row in self._up].__getitem__)
+
     def chain_lengths_to_top(self) -> tuple[int, ...]:
         """Per element, bit l set iff a saturated chain of length l runs from it to the top.
 
         One pass by ascending up-set size: each element ORs its covers' masks shifted by one.
         """
-        if self.top is None:
-            raise NoTopError("poset has no top element")
-        up, above = self._up, self._covers_above
+        order, above = self._toward_bottom(), self._covers_above
         lengths = [0] * self.n
         lengths[self.top] = 1
-        for x in sorted(range(self.n), key=[row.bit_count() for row in up].__getitem__):
+        for x in order:
             for w in _bits(above[x]):
                 lengths[x] |= lengths[w] << 1
         return tuple(lengths)
+
+    def chain_counts_to_top(self) -> tuple[int, ...]:
+        """Per element, the number of saturated chains from it to the top; none is built.
+
+        The pass of chain_lengths_to_top, summing the covers' counts.
+        """
+        order, above = self._toward_bottom(), self._covers_above
+        counts = [0] * self.n
+        counts[self.top] = 1
+        for x in order:
+            for w in _bits(above[x]):
+                counts[x] += counts[w]
+        return tuple(counts)
 
     # ----- structural predicates -----
 
@@ -438,26 +455,41 @@ class Poset:
         """
         return (self.n, *self._up)
 
-    # ----- isomorphism: least relabeling over all n! permutations -----
+    # ----- isomorphism: one canonical form over the size-sorted relabelings -----
+
+    @_cached
+    def _sizes(self) -> list[tuple[int, int]]:
+        # per element (down-set size, up-set size); every isomorphism keeps both
+        return [(d.bit_count(), u.bit_count()) for d, u in zip(self._down, self._up)]
 
     def is_canonical(self) -> bool:
-        """True iff the encoding is minimal over all relabelings."""
-        return all(_permuted(self._up, perm) >= self._up for perm in permutations(range(self.n)))
+        """True iff the rows are their own canonical form, whose sizes ascend (tested first)."""
+        sizes = self._sizes
+        return all(a <= b for a, b in zip(sizes, sizes[1:])) and self._canonical[0] == self._up
 
     @_cached
     def _canonical(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        # the least relabeled rows, and every old -> new permutation that reaches them
+        # the least rows over the relabelings that list the elements by ascending
+        # sizes, a product of permutations within equal sizes, and every old -> new
+        # permutation reaching them: as isomorphisms keep the sizes, isomorphic
+        # posets share the rows and every isomorphism onto them is among these
+        sizes = self._sizes
+        order = sorted(range(self.n), key=sizes.__getitem__)
+        groups = [tuple(g) for _, g in groupby(order, sizes.__getitem__)]
         best, perms = None, []
-        for perm in permutations(range(self.n)):
+        for listing in product(*map(permutations, groups)):
+            perm = [0] * self.n
+            for new, old in enumerate(chain.from_iterable(listing)):
+                perm[old] = new
             rows = _permuted(self._up, perm)
             if best is None or rows < best:
-                best, perms = rows, [perm]
+                best, perms = rows, [tuple(perm)]
             elif rows == best:
-                perms.append(perm)
+                perms.append(tuple(perm))
         return best, tuple(perms)
 
     def is_isomorphic(self, other: "Poset") -> bool:
-        """Same size and the same least relabeling; computed once per poset object."""
+        """Same size and the same canonical form; computed once per poset object."""
         return self.n == other.n and self._canonical[0] == other._canonical[0]
 
     # ----- dunder -----

@@ -50,7 +50,7 @@ def build_report(name: str, ll: LambdaLattice) -> ReportDocument:
         lengths = p.chain_lengths_to_top()
         chain_summary = ChainSummary(
             equal_length_from_every_element=all(m.bit_count() == 1 for m in lengths),
-            count_from_bottom=len(p.maximal_chains_to_top(p.bottom)),
+            count_from_bottom=p.chain_counts_to_top()[p.bottom],
             lengths_from_bottom=_bits(lengths[p.bottom]),
         )
     acute_clause = acute_characterization(p) if p.bounds() is not None else None

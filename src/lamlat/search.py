@@ -41,8 +41,8 @@ class EnumerationFilter:
 
     On finite carriers directedness and boundedness coincide, so
     require_directed sets require_bounded, and require_bounded alone
-    decides. canonical_only keeps only the least labeling of each
-    isomorphism class.
+    decides. canonical_only keeps only the canonical labeling of each
+    isomorphism class (Poset.is_canonical).
     """
 
     max_elements: int
@@ -198,15 +198,21 @@ def _merge_runs(streams: Iterable[Iterator]) -> Iterator:
         yield from stream
 
 
-def _bounded_posets(n: int) -> Iterator[Poset]:
+def _bounded_posets(n: int, canonical: bool = False) -> Iterator[Poset]:
     """Every bounded labeled poset on n elements, ascending by order rows, built lazily.
 
     Above one element this merges the per-(bottom, top) block streams;
     the middle posets are built once per call and shared by every block.
+    With canonical, it is the one canonical poset per isomorphism class:
+    the bottom has the least sizes and the top the greatest, and the
+    middle keeps its order with one added to both sizes, so the classes
+    are the block (0, n - 1) over the canonical middles.
     """
     if n == 1:
         return iter((Poset._from_masks(1, (1,)),))
     middles = [Poset._from_masks(n - 2, up) for up in _all_masks(n - 2)]
+    if canonical:
+        return _block_posets(n, 0, n - 1, list(filter(Poset.is_canonical, middles)))
     return _merge_runs([_block_posets(n, b, t, middles) for b, t in permutations(range(n), 2)])
 
 
@@ -224,10 +230,10 @@ def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:
         )
     for n in range(1, f.max_elements + 1):
         if f.require_bounded:
-            posets = _bounded_posets(n)
+            yield from _bounded_posets(n, f.canonical_only)
         else:
             posets = map(Poset._from_masks, repeat(n), _all_masks(n))
-        yield from filter(Poset.is_canonical, posets) if f.canonical_only else posets
+            yield from filter(Poset.is_canonical, posets) if f.canonical_only else posets
 
 
 def _bound_options(p: Poset, pairs) -> list[tuple[int, ...]]:

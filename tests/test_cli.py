@@ -23,6 +23,22 @@ def fig3_file(tmp_path):
     return str(path)
 
 
+def test_classify_counts_the_chains_of_a_ladder_without_listing_them(capsys, tmp_path):
+    # bottom, 40 levels of two elements each below both of the next, top: 2**40 chains
+    levels = [(f"x{i}", f"y{i}") for i in range(40)]
+    covers = [("b", v) for v in levels[0]] + [(v, "t") for v in levels[-1]]
+    covers += [(a, b) for low, high in zip(levels, levels[1:]) for a in low for b in high]
+    path = tmp_path / "ladder.poset"
+    path.write_text(
+        "elements: b " + " ".join(v for level in levels for v in level) + " t\n"
+        + "covers: " + "  ".join(f"{a} < {b}" for a, b in covers) + "\nacute\n"
+    )
+    assert main(["classify", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["n"] == 82
+    assert doc["chain_summary"]["count_from_bottom"] == 2**40
+
+
 def test_table_text(capsys):
     assert main(["table"]) == 0
     out = capsys.readouterr().out
@@ -182,10 +198,15 @@ def test_enumerate_bounded_json(capsys):
     assert len(doc["posets"]) == doc["total"] == 9
 
 
-# sha256 of the listings printed before enumerate wrote them piece by piece
+# sha256 of the listings printed before enumerate wrote them piece by piece;
+# the canonical ones pin the representatives of the size-sorted canonical form
 ENUMERATE_LISTING_SHA256 = {
     ("--n", "5", "--json"): "eb714323260dd4be860ede64e6dd29564126750444b6f17bf19bea735cefb3f8",
     ("--n", "6", "--bounded"): "ce3bcb468d6f70c8369c6168d90d35d6fc0bb7ba8cf8cd2a55c6157e9d39f614",
+    ("--n", "5", "--canonical", "--json"):
+        "83bf1080bd1c3b074bb38890a19185bbb7e307d1b1c8e524d6b9792a1deb1fe1",
+    ("--n", "6", "--bounded", "--canonical"):
+        "a6a5840080480f79260a4041b5ae2f37261233c8825214d3e18ca5b605fc1aac",
 }
 
 

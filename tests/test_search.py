@@ -198,6 +198,19 @@ def test_bounded_n2_is_two_labeled_chains():
     assert len(canon) == 1
 
 
+def test_canonical_bounded_stream_is_one_block_of_canonical_middles():
+    # one poset per class of bounded posets, A000112 at n - 2, all from the block (0, n - 1)
+    for n, classes in zip(range(1, 8), (1, 1, 1, 2, 5, 16, 63)):
+        stream = list(_bounded_posets(n, canonical=True))
+        assert len(stream) == classes
+        assert all(p.bounds() == (0, n - 1) and p.is_canonical() for p in stream)
+        assert all(a._up < b._up for a, b in zip(stream, stream[1:]))
+        assert not any(a.is_isomorphic(b) for i, a in enumerate(stream) for b in stream[i + 1:])
+        if n <= 6:
+            full = filter(Poset.is_canonical, _bounded_posets(n))
+            assert [p._up for p in stream] == [p._up for p in full]
+
+
 def test_directed_equals_bounded_on_finite():
     for n in range(1, 5):
         rels = all_labeled_posets_naive(n)
