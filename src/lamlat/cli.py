@@ -162,7 +162,6 @@ def _cmd_verify(args) -> int:
 def _cmd_enumerate(args) -> int:
     flt = EnumerationFilter(
         max_elements=_size(args.n, "--n"),
-        require_directed=args.directed,
         require_bounded=args.bounded,
         canonical_only=args.canonical,
     )
@@ -244,10 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-poset completion budget")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("enumerate", parents=[common], help="stream labeled posets")
+    p = sub.add_parser("enumerate", parents=[common], help="stream labeled posets or their classes")
     p.add_argument("--n", type=int, required=True, help="largest carrier size")
-    p.add_argument("--directed", action="store_true")
-    p.add_argument("--bounded", action="store_true")
+    p.add_argument("--bounded", "--directed", action="store_true")
     p.add_argument("--canonical", action="store_true",
                    help="one representative per isomorphism class")
     p.add_argument("--count-only", action="store_true")

@@ -458,22 +458,12 @@ class Poset:
     # ----- isomorphism: one canonical form over the size-sorted relabelings -----
 
     @_cached
-    def _sizes(self) -> list[tuple[int, int]]:
-        # per element (down-set size, up-set size); every isomorphism keeps both
-        return [(d.bit_count(), u.bit_count()) for d, u in zip(self._down, self._up)]
-
-    def is_canonical(self) -> bool:
-        """True iff the rows are their own canonical form, whose sizes ascend (tested first)."""
-        sizes = self._sizes
-        return all(a <= b for a, b in zip(sizes, sizes[1:])) and self._canonical[0] == self._up
-
-    @_cached
     def _canonical(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         # the least rows over the relabelings that list the elements by ascending
         # sizes, a product of permutations within equal sizes, and every old -> new
         # permutation reaching them: as isomorphisms keep the sizes, isomorphic
         # posets share the rows and every isomorphism onto them is among these
-        sizes = self._sizes
+        sizes = [(d.bit_count(), u.bit_count()) for d, u in zip(self._down, self._up)]
         order = sorted(range(self.n), key=sizes.__getitem__)
         groups = [tuple(g) for _, g in groupby(order, sizes.__getitem__)]
         best, perms = None, []

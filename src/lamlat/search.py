@@ -37,24 +37,21 @@ DEFAULT_COMPLETION_BUDGET = 10**6
 
 @dataclass(frozen=True)
 class EnumerationFilter:
-    """Which posets an enumeration yields.
+    """Which posets an enumeration yields: every labeled poset, or with
+    canonical_only one per isomorphism class, its canonical form
+    (Poset._canonical).
 
     On finite carriers directedness and boundedness coincide, so
-    require_directed sets require_bounded, and require_bounded alone
-    decides. canonical_only keeps only the canonical labeling of each
-    isomorphism class (Poset.is_canonical).
+    require_bounded alone decides both.
     """
 
     max_elements: int
-    require_directed: bool = False
     require_bounded: bool = False
     canonical_only: bool = False
 
     def __post_init__(self):
         if self.max_elements < 1:
             raise ArgumentError("max_elements must be at least 1")
-        if self.require_directed:
-            object.__setattr__(self, "require_bounded", True)
 
 
 # ----- labeled poset generation -----
@@ -143,7 +140,27 @@ def _all_masks(n: int) -> Iterator[tuple[int, ...]]:
     return chain.from_iterable(_row_walk(n, (), [0]))
 
 
-def _block_posets(n: int, b: int, t: int, middles: list[Poset]) -> Iterator[_BoundedPoset]:
+def _canonical_masks(n: int) -> list[tuple[int, ...]]:
+    """The canonical rows (Poset._canonical) of every poset on n elements, strictly ascending.
+
+    Removing a maximal element leaves a poset on n - 1 elements, so every
+    class is the form of a class one size down with a new maximal element
+    n - 1 above one of its down-sets d. Isomorphic children share one form,
+    which the set keeps once.
+    """
+    if n < 2:
+        return [(1,) if n else ()]
+    new = 1 << (n - 1)
+    forms = set()
+    for up in _canonical_masks(n - 1):
+        for d in range(new):
+            if not any(up[i] & d for i in _bits(~d & (new - 1))):  # no outsider below d
+                rows = [row | new if d >> i & 1 else row for i, row in enumerate(up)]
+                forms.add(Poset._from_masks(n, (*rows, new))._canonical[0])
+    return sorted(forms)
+
+
+def _block_posets(n: int, b: int, t: int, middles: Iterable[Poset]) -> Iterator[_BoundedPoset]:
     """Bounded posets with bottom b and top t, one per middle poset, in middle order.
 
     A bounded labeled poset on n > 1 elements decomposes uniquely into a
@@ -206,22 +223,23 @@ def _bounded_posets(n: int, canonical: bool = False) -> Iterator[Poset]:
     With canonical, it is the one canonical poset per isomorphism class:
     the bottom has the least sizes and the top the greatest, and the
     middle keeps its order with one added to both sizes, so the classes
-    are the block (0, n - 1) over the canonical middles.
+    are the block (0, n - 1) over the canonical middles, built lazily.
     """
     if n == 1:
         return iter((Poset._from_masks(1, (1,)),))
-    middles = [Poset._from_masks(n - 2, up) for up in _all_masks(n - 2)]
     if canonical:
-        return _block_posets(n, 0, n - 1, list(filter(Poset.is_canonical, middles)))
+        middles = map(Poset._from_masks, repeat(n - 2), _canonical_masks(n - 2))
+        return _block_posets(n, 0, n - 1, middles)
+    middles = [Poset._from_masks(n - 2, up) for up in _all_masks(n - 2)]
     return _merge_runs([_block_posets(n, b, t, middles) for b, t in permutations(range(n), 2)])
 
 
 def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:
-    """Every labeled poset passing the filter.
+    """Every labeled poset passing the filter, or with canonical_only every class's form.
 
     Sizes ascend; within one size the order is sorted by relation
     encoding, so output is deterministic and the first hit of any scan
-    is the least in encoding order.
+    is the least in encoding order among the posets streamed.
     """
     if f.max_elements > HARD_MAX_ELEMENTS:
         raise BudgetError(
@@ -232,8 +250,8 @@ def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:
         if f.require_bounded:
             yield from _bounded_posets(n, f.canonical_only)
         else:
-            posets = map(Poset._from_masks, repeat(n), _all_masks(n))
-            yield from filter(Poset.is_canonical, posets) if f.canonical_only else posets
+            masks = _canonical_masks(n) if f.canonical_only else _all_masks(n)
+            yield from map(Poset._from_masks, repeat(n), masks)
 
 
 def _bound_options(p: Poset, pairs) -> list[tuple[int, ...]]:
@@ -598,7 +616,7 @@ def verify(
 ) -> VerificationResult:
     """Replay one theorem over every enumerated instance in range.
 
-    Stops at the first (least, by encoding) counterexample unless
+    Stops at the first counterexample in stream order unless
     collect_all is set. A poset whose completion stream exceeds the
     budget is counted as skipped: enumerate_completions sizes it and
     raises BudgetError before any completion is built, never sampled;
@@ -644,8 +662,9 @@ def verify(
     elif collect_all:
         scope = f"exhaustive over {scope}; its counterexamples refute the statement"
     else:
-        scope = (f"searched {scope} in encoding order up to the least counterexample, "
-                 "which refutes the statement")
+        upto = ("up to the first counterexample among the representatives in their order"
+                if eff.canonical_only else "in encoding order up to the least counterexample")
+        scope = f"searched {scope} {upto}, which refutes the statement"
     return VerificationResult(
         theorem_id=th.theorem_id,
         max_elements=eff.max_elements,

@@ -12,7 +12,7 @@ def fixtures():
 def small_completions():
     """Every completion of every directed poset with at most 4 elements."""
     out = []
-    for p in enumerate_posets(EnumerationFilter(max_elements=4, require_directed=True)):
+    for p in enumerate_posets(EnumerationFilter(max_elements=4, require_bounded=True)):
         out.extend(enumerate_completions(p))
     return out
 

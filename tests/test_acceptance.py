@@ -103,7 +103,7 @@ def test_criterion_2_witness_fidelity(capsys):
 
 def test_criterion_3_construction_soundness(capsys):
     posets = completions = failures = 0
-    for p in enumerate_posets(EnumerationFilter(max_elements=5, require_directed=True)):
+    for p in enumerate_posets(EnumerationFilter(max_elements=5, require_bounded=True)):
         posets += 1
         for ll in enumerate_completions(p):
             completions += 1
@@ -171,7 +171,7 @@ def test_criterion_6_enumeration_oracle(capsys):
 
 def test_criterion_7_structural_equivalences(capsys):
     checked = 0
-    for p in enumerate_posets(EnumerationFilter(max_elements=5, require_directed=True)):
+    for p in enumerate_posets(EnumerationFilter(max_elements=5, require_bounded=True)):
         for ll in enumerate_completions(p):
             checked += 1
             lat = is_lattice(ll)

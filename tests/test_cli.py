@@ -207,6 +207,7 @@ ENUMERATE_LISTING_SHA256 = {
         "83bf1080bd1c3b074bb38890a19185bbb7e307d1b1c8e524d6b9792a1deb1fe1",
     ("--n", "6", "--bounded", "--canonical"):
         "a6a5840080480f79260a4041b5ae2f37261233c8825214d3e18ca5b605fc1aac",
+    ("--n", "7", "--canonical"): "bbb6a11a8433af0b8060139642468d20f80af0a5e9e5a5de73abd63597ed86da",
 }
 
 

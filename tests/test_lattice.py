@@ -412,7 +412,7 @@ def test_lattice_is_isomorphic_matches_naive_oracle_up_to_4():
 @st.composite
 def random_completion(draw):
     posets = [
-        p for p in enumerate_posets(EnumerationFilter(max_elements=4, require_directed=True))
+        p for p in enumerate_posets(EnumerationFilter(max_elements=4, require_bounded=True))
     ]
     p = draw(st.sampled_from(posets))
     joins, meets = {}, {}

@@ -428,21 +428,22 @@ def test_is_isomorphic_matches_naive_oracle_on_all_pairs_up_to_4():
 
 
 def test_least_relabelings_count_classes_like_is_canonical_up_to_5():
-    # the least relabeling and the is_canonical filter are the two consumers
-    # of one canonical form, so both count the unlabeled posets; its
-    # permutations are every relabeling onto the least rows, which
-    # lattice._least_encoding relies on, and those rows list the elements
-    # by ascending (down-set size, up-set size)
+    # the least relabelings and the posets that are their own form both
+    # count the unlabeled posets; the form's permutations are every
+    # relabeling onto the least rows, which lattice._least_encoding relies
+    # on, and those rows list the elements by ascending (down-set size,
+    # up-set size)
     for n, classes in zip(range(1, 6), (1, 2, 5, 16, 63)):
         posets = [Poset._from_masks(n, up) for up in _all_masks(n)]
         assert len({p._canonical[0] for p in posets}) == classes
-        assert sum(map(Poset.is_canonical, posets)) == classes
+        assert sum(p._canonical[0] == p._up for p in posets) == classes
         for p in posets:
             least, perms = p._canonical
             assert set(perms) == {
                 perm for perm in permutations(range(n)) if p.relabel(perm)._up == least
             }
-            sizes = Poset._from_masks(n, least)._sizes
+            q = Poset._from_masks(n, least)
+            sizes = [(d.bit_count(), u.bit_count()) for d, u in zip(q._down, q._up)]
             assert sizes == sorted(sizes)
 
 

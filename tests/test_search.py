@@ -1,6 +1,7 @@
 import hashlib
 import tracemalloc
 from itertools import chain, islice, product
+from math import factorial
 from types import SimpleNamespace
 
 import pytest
@@ -29,7 +30,7 @@ from lamlat import (
 from lamlat import checkers
 from lamlat.fixtures import fixture, fixture_poset
 from lamlat.poset import _BoundedPoset, _validate_order
-from lamlat.search import THEOREMS, _all_masks, _bounded_posets, _merge_runs
+from lamlat.search import THEOREMS, _all_masks, _bounded_posets, _canonical_masks, _merge_runs
 
 from oracles import (
     all_labeled_posets_naive,
@@ -203,12 +204,32 @@ def test_canonical_bounded_stream_is_one_block_of_canonical_middles():
     for n, classes in zip(range(1, 8), (1, 1, 1, 2, 5, 16, 63)):
         stream = list(_bounded_posets(n, canonical=True))
         assert len(stream) == classes
-        assert all(p.bounds() == (0, n - 1) and p.is_canonical() for p in stream)
+        assert all(p.bounds() == (0, n - 1) and p._canonical[0] == p._up for p in stream)
         assert all(a._up < b._up for a, b in zip(stream, stream[1:]))
         assert not any(a.is_isomorphic(b) for i, a in enumerate(stream) for b in stream[i + 1:])
         if n <= 6:
-            full = filter(Poset.is_canonical, _bounded_posets(n))
+            full = (p for p in _bounded_posets(n) if p._canonical[0] == p._up)
             assert [p._up for p in stream] == [p._up for p in full]
+
+
+def test_canonical_masks_are_one_form_per_class():
+    # A000112 classes; by orbit-stabilizer the labelings of a class number
+    # n!/|Aut(P)|, so the classes' labelings sum to A001035, and a bounded
+    # labeling is a choice of bottom and top around a labeled middle
+    labeled = (1, 1, 3, 19, 219, 4231, 130023, 6129859)
+    for n, classes in enumerate((1, 1, 2, 5, 16, 63, 318, 2045)):
+        forms = _canonical_masks(n)
+        assert len(forms) == classes
+        assert all(a < b for a, b in zip(forms, forms[1:]))
+        posets = [Poset._from_masks(n, r) for r in forms]
+        assert all(p._canonical[0] == p._up for p in posets)
+        assert sum(factorial(n) // len(p._canonical[1]) for p in posets) == labeled[n]
+        if n >= 2:
+            bounded = _bounded_posets(n, canonical=True)
+            assert sum(factorial(n) // len(p._canonical[1]) for p in bounded) == (
+                n * (n - 1) * labeled[n - 2])
+        if n <= 5:
+            assert forms == [r for r in _all_masks(n) if Poset._from_masks(n, r)._canonical[0] == r]
 
 
 def test_directed_equals_bounded_on_finite():
@@ -217,13 +238,11 @@ def test_directed_equals_bounded_on_finite():
         assert all(
             (has_bottom(n, r) and has_top(n, r)) == is_directed_naive(n, r) for r in rels
         )
-    directed = count_posets(max_elements=4, require_directed=True)
-    bounded = count_posets(max_elements=4, require_bounded=True)
-    assert directed == bounded == 1 + 2 + 6 + 36
+    assert count_posets(max_elements=4, require_bounded=True) == 1 + 2 + 6 + 36
 
 
 def test_every_enumerated_poset_is_directed_under_filter():
-    for p in enumerate_posets(EnumerationFilter(max_elements=4, require_directed=True)):
+    for p in enumerate_posets(EnumerationFilter(max_elements=4, require_bounded=True)):
         assert p.is_directed()
         assert p.bounds() is not None
 
@@ -423,6 +442,12 @@ def test_verify_scope_follows_the_outcome():
                            "its counterexamples refute the statement")
     for r in (first, every):
         assert "evidence" not in r.scope
+    # the first representative's counterexample need not be isomorphic to the least labeled one
+    canonical = verify("CHAINS_NO_LU", EnumerationFilter(max_elements=5, canonical_only=True))
+    assert canonical.scope == (
+        "searched one representative per isomorphism class of posets with at most 5 elements "
+        "up to the first counterexample among the representatives in their order, "
+        "which refutes the statement")
 
 
 def test_verify_unknown_id():
