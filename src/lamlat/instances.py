@@ -19,7 +19,7 @@ it; anything still open is an error.
 import re
 
 from .errors import BadChoiceError, ParseError
-from .lattice import ChoiceSpec, LambdaLattice, from_choice
+from .lattice import ChoiceSpec, LambdaLattice, _unforced, from_choice
 from .poset import Poset
 
 _TOKEN = re.compile(r"\S+")
@@ -125,9 +125,5 @@ def render_instance(obj: Poset | LambdaLattice) -> str:
     if p.covers:
         lines.append("covers: " + "  ".join(f"{names[a]} < {names[b]}" for a, b in p.covers))
     if isinstance(obj, LambdaLattice):
-        # the forced values: the poset's cached least and greatest bounds per pair
-        for side, (op, table) in enumerate((("join", obj.join_table), ("meet", obj.meet_table))):
-            for (x, y), forced in zip(p.incomparable_pairs, p._least_bounds):
-                if forced[side] != table[x][y]:
-                    lines.append(f"{op}: {names[x]} {names[y]} = {names[table[x][y]]}")
+        lines += [f"{op}: {names[x]} {names[y]} = {names[v]}" for op, x, y, v in _unforced(obj)]
     return "\n".join(lines) + "\n"

@@ -395,14 +395,24 @@ def idempotency_holds(ll: LambdaLattice) -> bool:
     )
 
 
+def _unforced(ll: LambdaLattice) -> Iterator[tuple[str, int, int, int]]:
+    """(op, x, y, value) for each incomparable pair x < y whose pick is not forced.
+
+    A common upper bound v of x and y is the least one exactly when up[v] ==
+    up[x] & up[y], poset._least's rule tested at one candidate; meets read
+    the down rows the same way. All joins come first, then all meets.
+    """
+    p = ll.poset
+    for op, table, rows in (("join", ll.join_table, p._up), ("meet", ll.meet_table, p._down)):
+        for x, y in p.incomparable_pairs:
+            v = table[x][y]
+            if rows[v] != rows[x] & rows[y]:
+                yield op, x, y, v
+
+
 def is_lattice(ll: LambdaLattice) -> bool:
     """Join is always the least upper bound and meet the greatest lower bound."""
-    p = ll.poset
-    jt, mt = ll.join_table, ll.meet_table
-    for (x, y), (lub, glb) in zip(p.incomparable_pairs, p._least_bounds):
-        if jt[x][y] != lub or mt[x][y] != glb:
-            return False
-    return True
+    return next(_unforced(ll), None) is None
 
 
 def _inner(p: Poset) -> int:

@@ -220,8 +220,8 @@ class Poset:
 
     @_cached
     def bottom(self) -> int | None:
-        full = (1 << self.n) - 1
-        return self._up.index(full) if full in self._up else None
+        """The least element: _least of the whole carrier, the empty intersection of rows."""
+        return _least((1 << self.n) - 1, self._up)
 
     @_cached
     def top(self) -> int | None:
@@ -392,15 +392,6 @@ class Poset:
     def incomparable_pairs(self) -> tuple[tuple[int, int], ...]:
         """Pairs (x, y) with x < y as indices and x, y order-incomparable."""
         return tuple([(x, y) for x, y in self._incomparable_cells if x < y])
-
-    @_cached
-    def _least_bounds(self) -> tuple[tuple[int | None, int | None], ...]:
-        # per incomparable pair: least upper and greatest lower bound, None where missing
-        up, down = self._up, self._down
-        return tuple([
-            (_least(up[x] & up[y], up), _least(down[x] & down[y], down))
-            for x, y in self.incomparable_pairs
-        ])
 
     def atoms(self) -> frozenset[int]:
         """Covers of the bottom element."""

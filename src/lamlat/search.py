@@ -10,7 +10,7 @@ scope says which.
 import time
 from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heapreplace
-from itertools import chain, permutations, product, repeat
+from itertools import chain, islice, permutations, product, repeat
 from math import prod
 from typing import Callable, Iterable, Iterator
 
@@ -140,24 +140,24 @@ def _all_masks(n: int) -> Iterator[tuple[int, ...]]:
     return chain.from_iterable(_row_walk(n, (), [0]))
 
 
-def _canonical_masks(n: int) -> list[tuple[int, ...]]:
-    """The canonical rows (Poset._canonical) of every poset on n elements, strictly ascending.
+def _canonical_masks() -> Iterator[list[tuple[int, ...]]]:
+    """For n = 0, 1, 2, ... in turn, the canonical rows (Poset._canonical) on n elements, ascending.
 
     Removing a maximal element leaves a poset on n - 1 elements, so every
     class is the form of a class one size down with a new maximal element
     n - 1 above one of its down-sets d. Isomorphic children share one form,
-    which the set keeps once.
+    which the set keeps once. Each size is built once, from the one before.
     """
-    if n < 2:
-        return [(1,) if n else ()]
-    new = 1 << (n - 1)
-    forms = set()
-    for up in _canonical_masks(n - 1):
-        for d in range(new):
-            if not any(up[i] & d for i in _bits(~d & (new - 1))):  # no outsider below d
-                rows = [row | new if d >> i & 1 else row for i, row in enumerate(up)]
-                forms.add(Poset._from_masks(n, (*rows, new))._canonical[0])
-    return sorted(forms)
+    forms, n = [()], 0
+    while True:
+        yield forms
+        new, n, children = 1 << n, n + 1, set()
+        for up in forms:
+            for d in range(new):
+                if not any(up[i] & d for i in _bits(~d & (new - 1))):  # no outsider below d
+                    rows = [row | new if d >> i & 1 else row for i, row in enumerate(up)]
+                    children.add(Poset._from_masks(n, (*rows, new))._canonical[0])
+        forms = sorted(children)
 
 
 def _block_posets(n: int, b: int, t: int, middles: Iterable[Poset]) -> Iterator[_BoundedPoset]:
@@ -215,20 +215,20 @@ def _merge_runs(streams: Iterable[Iterator]) -> Iterator:
         yield from stream
 
 
-def _bounded_posets(n: int, canonical: bool = False) -> Iterator[Poset]:
+def _bounded_posets(n: int, canonical_middles: list | None = None) -> Iterator[Poset]:
     """Every bounded labeled poset on n elements, ascending by order rows, built lazily.
 
     Above one element this merges the per-(bottom, top) block streams;
     the middle posets are built once per call and shared by every block.
-    With canonical, it is the one canonical poset per isomorphism class:
-    the bottom has the least sizes and the top the greatest, and the
-    middle keeps its order with one added to both sizes, so the classes
-    are the block (0, n - 1) over the canonical middles, built lazily.
+    Given the canonical rows on n - 2 elements, it is the one canonical poset
+    per isomorphism class: the bottom has the least sizes and the top the
+    greatest, and the middle keeps its order with one added to both sizes, so
+    the classes are the block (0, n - 1) over the canonical middles, built lazily.
     """
     if n == 1:
         return iter((Poset._from_masks(1, (1,)),))
-    if canonical:
-        middles = map(Poset._from_masks, repeat(n - 2), _canonical_masks(n - 2))
+    if canonical_middles is not None:
+        middles = map(Poset._from_masks, repeat(n - 2), canonical_middles)
         return _block_posets(n, 0, n - 1, middles)
     middles = [Poset._from_masks(n - 2, up) for up in _all_masks(n - 2)]
     return _merge_runs([_block_posets(n, b, t, middles) for b, t in permutations(range(n), 2)])
@@ -246,11 +246,13 @@ def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:
             f"enumeration is guarded at {HARD_MAX_ELEMENTS} elements",
             required=f.max_elements,
         )
+    # canonical rows, each size built once: the classes on n, or bounded ones' middles on n - 2
+    forms = islice(_canonical_masks(), 0 if f.require_bounded else 1, None)
     for n in range(1, f.max_elements + 1):
         if f.require_bounded:
-            yield from _bounded_posets(n, f.canonical_only)
+            yield from _bounded_posets(n, next(forms) if f.canonical_only and n > 1 else None)
         else:
-            masks = _canonical_masks(n) if f.canonical_only else _all_masks(n)
+            masks = next(forms) if f.canonical_only else _all_masks(n)
             yield from map(Poset._from_masks, repeat(n), masks)
 
 

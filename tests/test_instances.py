@@ -1,3 +1,5 @@
+from itertools import chain
+
 import pytest
 
 from lamlat import (
@@ -12,6 +14,8 @@ from lamlat import (
 )
 from lamlat.fixtures import FIXTURE_NAMES, fixture, fixture_poset
 from lamlat.instances import parse_instance, render_instance
+
+from oracles import incomparable_cells_naive, least_bound_naive, relation_from_covers
 
 FIG3_TEXT = """\
 # six elements, two free choices
@@ -135,6 +139,32 @@ def test_render_minimal():
     assert "join:" not in text
     assert text.count("meet:") == 1
     assert "meet: c d = 0" in text
+
+
+def test_render_lines_are_the_picks_that_differ_from_the_oracle_bounds(completions_upto5, fixtures):
+    # a join:/meet: line for exactly the incomparable pairs whose value is not
+    # the least upper (greatest lower) bound, or that have none; joins first
+    instances = lines = joins = unforced = 0
+    for ll in chain(completions_upto5, fixtures.values()):
+        n = ll.n
+        rel = relation_from_covers(n, ll.poset.covers)
+        names = [ll.label(i) for i in range(n)]
+        pairs = [(x, y) for x, y in incomparable_cells_naive(n, rel) if x < y]
+        expected = [
+            f"{op}: {names[x]} {names[y]} = {names[table[x][y]]}"
+            for op, side, table in (("join", "upper", ll.join_table), ("meet", "lower", ll.meet_table))
+            for x, y in pairs
+            if table[x][y] != least_bound_naive(n, rel, x, y, side)
+        ]
+        text = render_instance(ll).splitlines()
+        assert [t for t in text if t.startswith(("join:", "meet:"))] == expected, ll
+        instances += 1
+        lines += len(expected)
+        joins += sum(t.startswith("join:") for t in expected)
+        unforced += bool(expected)
+    assert instances == 545 + 7
+    assert 0 < joins < lines
+    assert 0 < unforced < instances
 
 
 def test_render_acute_of_mk_needs_no_choices():

@@ -277,24 +277,6 @@ def test_directed_and_forced_bounds_match_oracles_on_all_posets_up_to_5():
     assert 0 < forced < pairs
 
 
-def test_least_bounds_match_oracle_on_every_incomparable_pair_up_to_5():
-    # the per-pair cache that is_lattice and render_instance read
-    posets = pairs = joins = meets = 0
-    for p in enumerate_posets(EnumerationFilter(max_elements=5)):
-        rel = relation_from_covers(p.n, p.covers)
-        expected = [(least_bound_naive(p.n, rel, x, y, "upper"),
-                     least_bound_naive(p.n, rel, x, y, "lower"))
-                    for x, y in p.incomparable_pairs]
-        assert list(p._least_bounds) == expected, p
-        posets += 1
-        pairs += len(expected)
-        joins += sum(j is not None for j, _ in expected)
-        meets += sum(m is not None for _, m in expected)
-    assert posets == 4473
-    assert pairs == 18374
-    assert 0 < joins < pairs and 0 < meets < pairs
-
-
 def test_heights_match_oracle_on_every_poset_with_a_bottom_up_to_5_and_fixtures():
     posets = [p for p in enumerate_posets(EnumerationFilter(max_elements=5))
               if p.bottom is not None]

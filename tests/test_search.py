@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from collections import Counter
 from itertools import chain, islice, product
 from math import factorial
 from types import SimpleNamespace
@@ -27,7 +28,7 @@ from lamlat import (
     verify,
     violates,
 )
-from lamlat import checkers
+from lamlat import checkers, search
 from lamlat.fixtures import fixture, fixture_poset
 from lamlat.poset import _BoundedPoset, _validate_order
 from lamlat.search import THEOREMS, _all_masks, _bounded_posets, _canonical_masks, _merge_runs
@@ -201,8 +202,9 @@ def test_bounded_n2_is_two_labeled_chains():
 
 def test_canonical_bounded_stream_is_one_block_of_canonical_middles():
     # one poset per class of bounded posets, A000112 at n - 2, all from the block (0, n - 1)
+    middles = list(islice(_canonical_masks(), 6))
     for n, classes in zip(range(1, 8), (1, 1, 1, 2, 5, 16, 63)):
-        stream = list(_bounded_posets(n, canonical=True))
+        stream = list(_bounded_posets(n, middles[n - 2] if n > 1 else None))
         assert len(stream) == classes
         assert all(p.bounds() == (0, n - 1) and p._canonical[0] == p._up for p in stream)
         assert all(a._up < b._up for a, b in zip(stream, stream[1:]))
@@ -217,19 +219,38 @@ def test_canonical_masks_are_one_form_per_class():
     # n!/|Aut(P)|, so the classes' labelings sum to A001035, and a bounded
     # labeling is a choice of bottom and top around a labeled middle
     labeled = (1, 1, 3, 19, 219, 4231, 130023, 6129859)
-    for n, classes in enumerate((1, 1, 2, 5, 16, 63, 318, 2045)):
-        forms = _canonical_masks(n)
+    sizes = []
+    for n, (classes, forms) in enumerate(zip((1, 1, 2, 5, 16, 63, 318, 2045), _canonical_masks())):
+        sizes.append(forms)
         assert len(forms) == classes
         assert all(a < b for a, b in zip(forms, forms[1:]))
         posets = [Poset._from_masks(n, r) for r in forms]
         assert all(p._canonical[0] == p._up for p in posets)
         assert sum(factorial(n) // len(p._canonical[1]) for p in posets) == labeled[n]
         if n >= 2:
-            bounded = _bounded_posets(n, canonical=True)
+            bounded = _bounded_posets(n, sizes[n - 2])
             assert sum(factorial(n) // len(p._canonical[1]) for p in bounded) == (
                 n * (n - 1) * labeled[n - 2])
         if n <= 5:
             assert forms == [r for r in _all_masks(n) if Poset._from_masks(n, r)._canonical[0] == r]
+
+
+def test_a_canonical_run_builds_each_size_once(monkeypatch):
+    # every size the run reaches is built once, from the size before
+    built = Counter()
+
+    def counted():
+        for forms in _canonical_masks():
+            built[len(forms[0])] += 1
+            yield forms
+
+    monkeypatch.setattr(search, "_canonical_masks", counted)
+    for max_n, bounded, classes, sizes in ((6, False, 1 + 2 + 5 + 16 + 63 + 318, 7),
+                                           (7, True, 1 + 1 + 1 + 2 + 5 + 16 + 63, 6)):
+        built.clear()
+        f = EnumerationFilter(max_elements=max_n, require_bounded=bounded, canonical_only=True)
+        assert sum(1 for _ in enumerate_posets(f)) == classes
+        assert built == dict.fromkeys(range(sizes), 1)
 
 
 def test_directed_equals_bounded_on_finite():
