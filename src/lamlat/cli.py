@@ -238,13 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="replay a registered theorem over all small instances")
     p.add_argument("theorem", help="theorem id, e.g. TH1 (see README for the list)")
-    p.add_argument("--max-n", type=int, default=None, help="largest carrier size")
+    p.add_argument("--max-n", type=int, default=None, help="largest carrier size, at most 7")
     p.add_argument("--budget", type=int, default=DEFAULT_COMPLETION_BUDGET,
                    help="per-poset completion budget")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("enumerate", parents=[common], help="stream labeled posets or their classes")
-    p.add_argument("--n", type=int, required=True, help="largest carrier size")
+    p.add_argument("--n", type=int, required=True,
+                   help="largest carrier size, at most 7, or 8 with --canonical")
     p.add_argument("--bounded", "--directed", action="store_true")
     p.add_argument("--canonical", action="store_true",
                    help="one representative per isomorphism class")

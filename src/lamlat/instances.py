@@ -122,8 +122,9 @@ def render_instance(obj: Poset | LambdaLattice) -> str:
     p = obj.poset if isinstance(obj, LambdaLattice) else obj
     names = [p.label(i) for i in range(p.n)]
     lines = ["elements: " + " ".join(names)]
-    if p.covers:
-        lines.append("covers: " + "  ".join(f"{names[a]} < {names[b]}" for a, b in p.covers))
+    covers = p.covers
+    if covers:
+        lines.append("covers: " + "  ".join(f"{names[a]} < {names[b]}" for a, b in covers))
     if isinstance(obj, LambdaLattice):
         lines += [f"{op}: {names[x]} {names[y]} = {names[v]}" for op, x, y, v in _unforced(obj)]
     return "\n".join(lines) + "\n"

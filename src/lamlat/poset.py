@@ -18,12 +18,18 @@ from .verdict import HOLDS, Verdict
 
 
 class _cached(cached_property):
-    """functools.cached_property without the lock Python < 3.12 takes on first access."""
+    """functools.cached_property without the lock Python < 3.12 takes on first access.
+
+    The value is stored with setattr, which keeps CPython's compact
+    per-instance attribute values; writing to obj.__dict__ would build a
+    dict object on every instance that caches anything.
+    """
 
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        value = obj.__dict__[self.attrname] = self.func(obj)
+        value = self.func(obj)
+        setattr(obj, self.attrname, value)
         return value
 
 
@@ -249,9 +255,9 @@ class Poset:
             out.append(s & ~higher)
         return tuple(out)
 
-    @_cached
+    @property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """All covering pairs (x, y) with y covering x, lexicographic."""
+        """All covering pairs (x, y) with y covering x, lexicographic; built on each read, not held."""
         return tuple(
             (x, y) for x in range(self.n) for y in _bits(self._covers_above[x])
         )

@@ -10,7 +10,7 @@ scope says which.
 import time
 from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heapreplace
-from itertools import chain, islice, permutations, product, repeat
+from itertools import chain, islice, permutations, repeat
 from math import prod
 from typing import Callable, Iterable, Iterator
 
@@ -19,7 +19,6 @@ from .errors import ArgumentError, BudgetError, NotDirectedError, UnknownTheorem
 from .lattice import (
     LambdaLattice,
     _completion_rows,
-    _frozen,
     acute,
     convex_closed_subsets,  # noqa: F401  (bench/tracing.py rebinds search.convex_closed_subsets)
     from_choice,  # noqa: F401  (bench/tracing.py rebinds search.from_choice)
@@ -31,7 +30,11 @@ from .lattice import (
 from .poset import Poset, _bits, _BoundedPoset
 from .verdict import HOLDS, Verdict
 
-HARD_MAX_ELEMENTS = 7
+# the largest carrier a stream accepts: 7 281 288 bounded labeled posets
+# have 8 elements, and a bounded class on 9 has 2^20 completions, more than
+# the default budget allows
+HARD_MAX_ELEMENTS = 7  # labeled streams
+HARD_MAX_CANONICAL = 8  # canonical streams, bounded or not
 DEFAULT_COMPLETION_BUDGET = 10**6
 
 
@@ -239,11 +242,14 @@ def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:
 
     Sizes ascend; within one size the order is sorted by relation
     encoding, so output is deterministic and the first hit of any scan
-    is the least in encoding order among the posets streamed.
+    is the least in encoding order among the posets streamed. A size
+    above the stream's guard raises BudgetError before anything is built.
     """
-    if f.max_elements > HARD_MAX_ELEMENTS:
+    guard = HARD_MAX_CANONICAL if f.canonical_only else HARD_MAX_ELEMENTS
+    if f.max_elements > guard:
+        kind = "canonical" if f.canonical_only else "labeled"
         raise BudgetError(
-            f"enumeration is guarded at {HARD_MAX_ELEMENTS} elements",
+            f"{kind} enumeration is guarded at {guard} elements",
             required=f.max_elements,
         )
     # canonical rows, each size built once: the classes on n, or bounded ones' middles on n - 2
@@ -278,11 +284,17 @@ def enumerate_completions(
     with no common upper or no common lower bound, so an empty option
     tuple. The budget is decided before anything is built, as the
     product of the option counts: BudgetError when it exceeds the budget
-    (None means no limit); it never samples. Each completion writes its
-    options into the list rows of _completion_rows and freezes only
-    those; the other rows are tuples already, shared by every completion
-    of p. The options are bits of the bound masks, so legal by
-    construction, and each completion is built trusted.
+    (None means no limit); it never samples. The options are bits of the
+    bound masks, so legal by construction, and each completion is built
+    trusted.
+
+    The product is walked as an odometer: its wheels are the option
+    tuples with more than one option, the last turning fastest. A step
+    writes only the cells of the wheels that turned into the list rows
+    of _completion_rows and re-freezes only the rows holding them; every
+    other row is the previous completion's tuple, and a table none of
+    whose rows changed is the previous table. Rows without incomparable
+    cells are the shared _base_row tuples.
     """
     jt, mt, pairs = _completion_rows(p)
     digits = _bound_options(p, pairs)
@@ -292,12 +304,47 @@ def enumerate_completions(
             raise BudgetError(
                 f"{total} completions exceed the budget of {budget}", required=total
             )
-    for combo in product(*digits):
-        it = iter(combo)
-        for (x, y), u, l in zip(pairs, it, it):
-            jt[x][y] = jt[y][x] = u
-            mt[x][y] = mt[y][x] = l
-        yield LambdaLattice._from_tables(p, _frozen(jt), _frozen(mt))
+    rows, frozen = (jt, mt), ([], [])  # frozen: each table's current row tuples, filled below
+    wheels, last = [], [-1, -1]  # last: per table, the index of its last wheel
+    for k, options in enumerate(digits):  # digit 2i is pair i's join, 2i + 1 its meet
+        (x, y), side = pairs[k >> 1], k & 1
+        r = rows[side]
+        r[x][y] = r[y][x] = options[0]
+        if len(options) > 1:
+            last[side] = len(wheels)
+            wheels.append((options, len(options) - 1, r, frozen[side], x, y))
+    frozen[0].extend(map(tuple, jt))
+    frozen[1].extend(map(tuple, mt))
+    tables = [tuple(frozen[0]), tuple(frozen[1])]
+    yield LambdaLattice._from_tables(p, tables[0], tables[1])
+    if not wheels:
+        return
+    at, final = [0] * len(wheels), len(wheels) - 1
+    options, end, sr, sf, sx, sy = wheels[final]  # the fastest wheel turns in the inner loop
+    spin, s = options[1:], last.index(final)  # its later options and its table
+    while True:
+        for v in spin:
+            sr[sx][sy] = sr[sy][sx] = v
+            sf[sx], sf[sy] = tuple(sr[sx]), tuple(sr[sy])
+            tables[s] = tuple(sf)
+            yield LambdaLattice._from_tables(p, tables[0], tables[1])
+        # the fastest wheel is at its last option: carry into the slower ones
+        k, at[final] = final, end
+        while k >= 0 and at[k] == wheels[k][1]:
+            at[k] = 0
+            k -= 1
+        if k < 0:
+            return
+        at[k] += 1
+        for i in range(k, final + 1):
+            options, _, r, f, x, y = wheels[i]
+            r[x][y] = r[y][x] = options[at[i]]
+            f[x], f[y] = tuple(r[x]), tuple(r[y])
+        if k <= last[0]:
+            tables[0] = tuple(frozen[0])
+        if k <= last[1]:
+            tables[1] = tuple(frozen[1])
+        yield LambdaLattice._from_tables(p, tables[0], tables[1])
 
 
 def completion_count(p: Poset) -> int:
@@ -497,7 +544,7 @@ def _lookup(theorem_id: str) -> Theorem:
 # ----- verification -----
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Counterexample:
     """An instance on which a theorem's hypotheses hold but its conclusion fails."""
 

@@ -25,12 +25,13 @@ from lamlat import (
     from_choice,
     independence_table,
     mk_poset,
+    render_instance,
     verify,
     violates,
 )
 from lamlat import checkers, search
 from lamlat.fixtures import fixture, fixture_poset
-from lamlat.poset import _BoundedPoset, _validate_order
+from lamlat.poset import _BoundedPoset, _cached, _validate_order
 from lamlat.search import THEOREMS, _all_masks, _bounded_posets, _canonical_masks, _merge_runs
 
 from oracles import (
@@ -288,8 +289,16 @@ def test_canonical_filter_counts_isomorphism_classes():
 
 
 def test_hard_guard():
+    # labeled streams stop at 7 elements and canonical ones, bounded or not, at 8
     with pytest.raises(BudgetError):
         list(enumerate_posets(EnumerationFilter(max_elements=8)))
+    for bounded in (False, True):
+        with pytest.raises(BudgetError):
+            list(enumerate_posets(
+                EnumerationFilter(max_elements=9, require_bounded=bounded, canonical_only=True)))
+    f = EnumerationFilter(max_elements=8, require_bounded=True, canonical_only=True)
+    classes = Counter(p.n for p in enumerate_posets(f))
+    assert [classes[n] for n in range(1, 9)] == [1, 1, 1, 2, 5, 16, 63, 318]
     with pytest.raises(ValueError):
         EnumerationFilter(max_elements=0)
 
@@ -381,15 +390,40 @@ def test_completion_stream_up_to_six_is_pinned():
 
 @pytest.mark.parametrize("name", ["FIG3", "FIG6"])
 def test_completions_share_the_rows_they_do_not_change(name):
-    # a row without incomparable cells is one tuple for every completion
-    # and for acute; the rows with such cells are rebuilt as tuples
+    # a row without incomparable cells is one tuple for every completion and
+    # for acute; a later completion's row, or whole table, is the previous
+    # completion's object exactly when none of its cells changed
     p = fixture_poset(name)
-    inc = p._incomparable
-    first, *rest = enumerate_completions(p)
-    for ll in (*rest, acute(p)):
+    stream = list(enumerate_completions(p))
+    first = stream[0]
+    for ll in (*stream[1:], acute(p)):
         for table, shared in ((ll.join_table, first.join_table), (ll.meet_table, first.meet_table)):
             assert type(table) is tuple and all(type(row) is tuple for row in table)
-            assert [table[x] is shared[x] for x in range(p.n)] == [not row for row in inc]
+            assert all(table[x] is shared[x] for x, inc in enumerate(p._incomparable) if not inc)
+    kept = Counter()
+    for prev, ll in zip(stream, stream[1:]):
+        for table, before in ((ll.join_table, prev.join_table), (ll.meet_table, prev.meet_table)):
+            same = [row is old for row, old in zip(table, before)]
+            assert same == [row == old for row, old in zip(table, before)]
+            assert (table is before) == all(same)
+            kept[table is before] += 1
+    assert kept[True] and kept[False]  # each kind of step occurs
+
+
+def test_completion_stream_matches_from_choice_over_the_classes_up_to_7():
+    # the odometer against from_choice over itertools.product of the options,
+    # table by table and in order, with up to 10 pairs (20 digits) per poset;
+    # a class's last pairs tend to have one join and several meets, and its
+    # dual (same labels, order reversed) the other way round
+    f = EnumerationFilter(max_elements=7, require_bounded=True, canonical_only=True)
+    total = most_pairs = 0
+    for q in enumerate_posets(f):
+        for p in (q, Poset._from_masks(q.n, q._down)):
+            stream = [(ll.join_table, ll.meet_table) for ll in enumerate_completions(p)]
+            assert stream == [(ll.join_table, ll.meet_table) for ll in _product_of_choices(p)], p
+            total += len(stream)
+            most_pairs = max(most_pairs, len(p.incomparable_pairs))
+    assert (total, most_pairs) == (2 * 1266, 10)
 
 
 def test_completions_need_directed():
@@ -558,6 +592,45 @@ def test_mutant_chains_no_lu_finds_counterexample():
     assert ce.poset.top is not None
     lengths = {c.length for c in ce.poset.maximal_chains_to_top(ce.witness[0])}
     assert len(lengths) > 1
+
+
+@pytest.mark.parametrize("theorem_id", ["CHAINS_NO_LU", "TH1_LCC_CONCLUSION"])
+def test_held_counterexamples_keep_only_their_instance(theorem_id):
+    # validating, rendering and printing a held counterexample caches no
+    # covers on its poset, and neither record has a __dict__
+    r = verify(theorem_id, EnumerationFilter(max_elements=5), collect_all=True)
+    assert len(r.all_counterexamples) > 1
+    for ce in r.all_counterexamples:
+        assert ce.validate()
+        render_instance(ce.instance())
+        ce.to_dict()
+        assert "covers" not in vars(ce.poset)
+        assert not hasattr(ce, "__dict__")
+        assert (ce.lattice is None) == (theorem_id == "CHAINS_NO_LU")
+        assert not hasattr(ce.lattice, "__dict__")
+
+
+def test_a_lattice_run_computes_each_streamed_posets_pairs_once(monkeypatch):
+    # the completion pass's pairs are the poset's incomparable_pairs, so
+    # is_lattice in MONO's conclusion does not build them again
+    computed = Counter()
+    rows, pairs = search._completion_rows, Poset.incomparable_pairs
+
+    def counted_rows(p):
+        computed[p] += 1
+        return rows(p)
+
+    def counted_pairs(p):
+        computed[p] += 1
+        return pairs.func(p)
+
+    counted = _cached(counted_pairs)
+    counted.__set_name__(Poset, "incomparable_pairs")
+    monkeypatch.setattr(search, "_completion_rows", counted_rows)
+    monkeypatch.setattr(Poset, "incomparable_pairs", counted)
+    r = verify("MONO", EnumerationFilter(max_elements=5))
+    assert (r.posets_checked, r.lattices_checked) == (425, 545)
+    assert len(computed) == 425 and set(computed.values()) == {1}
 
 
 def test_verify_reports_least_counterexample():
