@@ -19,7 +19,7 @@ from .instances import parse_instance, render_instance
 from .lattice import LambdaLattice
 from .poset import Poset
 from .report import build_report, render_text
-from .search import DEFAULT_COMPLETION_BUDGET, EnumerationFilter, enumerate_posets, verify
+from .search import EnumerationFilter, enumerate_posets, verify
 
 # enumerate lists at most this many posets, above the 184 697 bounded ones up to
 # 7 elements; longer listings (labeled n = 7 alone has 6 129 859) would exhaust memory
@@ -134,13 +134,12 @@ def _cmd_verify(args) -> int:
     flt = None
     if args.max_n is not None:
         flt = EnumerationFilter(max_elements=_size(args.max_n, "--max-n"))
-    result = verify(args.theorem, flt, budget=args.budget)
+    result = verify(args.theorem, flt)
     lines = [
         f"theorem: {result.theorem_id}",
         f"scope: {result.scope}",
         f"posets checked: {result.posets_checked}",
         f"completions checked: {result.lattices_checked}",
-        f"posets skipped over budget: {result.posets_skipped}",
     ]
     if result.counterexample is None:
         lines.append("counterexample: none")
@@ -239,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replay a registered theorem over all small instances")
     p.add_argument("theorem", help="theorem id, e.g. TH1 (see README for the list)")
     p.add_argument("--max-n", type=int, default=None, help="largest carrier size, at most 7")
-    p.add_argument("--budget", type=int, default=DEFAULT_COMPLETION_BUDGET,
-                   help="per-poset completion budget")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("enumerate", parents=[common], help="stream labeled posets or their classes")

@@ -12,7 +12,8 @@ from .poset import Poset
 
 def export_dot(obj: Poset | LambdaLattice) -> str:
     p = obj.poset if isinstance(obj, LambdaLattice) else obj
-    names = [p.label(i) for i in range(p.n)]
+    # a DOT string escapes its quotes and backslashes
+    names = [p.label(i).replace("\\", "\\\\").replace('"', '\\"') for i in range(p.n)]
     lines = ["digraph hasse {", "  rankdir=BT;"]
     if isinstance(obj, LambdaLattice):
         choices = [

@@ -6,7 +6,7 @@ class LamlatError(Exception):
 
 
 class ArgumentError(LamlatError, ValueError):
-    """An argument is malformed: a size or budget below its allowed minimum,
+    """An argument is malformed: a size below its allowed minimum,
     an empty poset or restriction, labels that are not one distinct string
     per element, a relabeling that is not a permutation, a choice spec with
     a same-element or conflicting pair, operation tables that are empty,
@@ -55,7 +55,7 @@ class IncompleteChoiceError(LamlatError):
 
 
 class BudgetError(LamlatError):
-    """An enumeration would exceed its work budget."""
+    """An enumeration would exceed a size guard or the listing cap."""
 
     def __init__(self, message, required=None):
         super().__init__(message)

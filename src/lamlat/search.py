@@ -30,12 +30,11 @@ from .lattice import (
 from .poset import Poset, _bits, _BoundedPoset
 from .verdict import HOLDS, Verdict
 
-# the largest carrier a stream accepts: 7 281 288 bounded labeled posets
-# have 8 elements, and a bounded class on 9 has 2^20 completions, more than
-# the default budget allows
+# the largest carrier a stream accepts, and the one bound on a run's work: at
+# most 2 479 937 completions over the bounded labeled posets up to 7 elements
+# (8 would stream 7 281 288 posets), 80 295 over the bounded classes up to 8
 HARD_MAX_ELEMENTS = 7  # labeled streams
 HARD_MAX_CANONICAL = 8  # canonical streams, bounded or not
-DEFAULT_COMPLETION_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -272,21 +271,17 @@ def _bound_options(p: Poset, pairs) -> list[tuple[int, ...]]:
     return options
 
 
-def enumerate_completions(
-    p: Poset, budget: int | None = DEFAULT_COMPLETION_BUDGET
-) -> Iterator[LambdaLattice]:
+def enumerate_completions(p: Poset) -> Iterator[LambdaLattice]:
     """Every completion of a directed poset, one per total choice, built lazily.
 
     The stream is the Cartesian product over incomparable pairs of all
     common upper bounds times all common lower bounds, in sorted pair
-    and bound order. A poset that is not directed raises
-    NotDirectedError: on a finite carrier that is an incomparable pair
-    with no common upper or no common lower bound, so an empty option
-    tuple. The budget is decided before anything is built, as the
-    product of the option counts: BudgetError when it exceeds the budget
-    (None means no limit); it never samples. The options are bits of the
-    bound masks, so legal by construction, and each completion is built
-    trusted.
+    and bound order; it is never cut short or sampled. A poset that is
+    not directed raises NotDirectedError before any completion is built:
+    on a finite carrier that is an incomparable pair with no common upper
+    or no common lower bound, so an empty option tuple. The options are
+    bits of the bound masks, so legal by construction, and each
+    completion is built trusted.
 
     The product is walked as an odometer: its wheels are the option
     tuples with more than one option, the last turning fastest. A step
@@ -298,12 +293,6 @@ def enumerate_completions(
     """
     jt, mt, pairs = _completion_rows(p)
     digits = _bound_options(p, pairs)
-    if budget is not None:
-        total = prod(map(len, digits))
-        if total > budget:
-            raise BudgetError(
-                f"{total} completions exceed the budget of {budget}", required=total
-            )
     rows, frozen = (jt, mt), ([], [])  # frozen: each table's current row tuples, filled below
     wheels, last = [], [-1, -1]  # last: per table, the index of its last wheel
     for k, options in enumerate(digits):  # digit 2i is pair i's join, 2i + 1 its meet
@@ -589,7 +578,7 @@ class VerificationResult:
     max_elements: int
     posets_checked: int
     lattices_checked: int
-    posets_skipped: int
+    posets_skipped: int  # always 0: the size guards bound a run, and no poset is skipped
     counterexample: Counterexample | None
     elapsed: float
     scope: str
@@ -618,12 +607,6 @@ class VerificationResult:
             "expected_clean": self.expected_clean,
             "expectation_met": self.expectation_met,
         }
-
-
-def _check_budget(budget: int | None) -> None:
-    """None means no limit; a budget below 1 would skip every poset and is rejected."""
-    if budget is not None and budget < 1:
-        raise ArgumentError(f"the completion budget must be at least 1, got {budget}")
 
 
 def _judge(th: Theorem, poset: Poset, lattice: LambdaLattice | None) -> Counterexample | None:
@@ -660,44 +643,37 @@ def verify(
     theorem_id: str,
     flt: EnumerationFilter | None = None,
     *,
-    budget: int | None = DEFAULT_COMPLETION_BUDGET,
     collect_all: bool = False,
 ) -> VerificationResult:
     """Replay one theorem over every enumerated instance in range.
 
     Stops at the first counterexample in stream order unless
-    collect_all is set. A poset whose completion stream exceeds the
-    budget is counted as skipped: enumerate_completions sizes it and
-    raises BudgetError before any completion is built, never sampled;
-    the others stream their completions lazily, so a first-hit run stops
-    building at the counterexample. Budgets pass _check_budget. The
-    scope names what was searched and what the outcome shows: a clean run
-    is evidence, not a proof, and a counterexample refutes the statement.
+    collect_all is set. Every streamed poset is checked, and the stream
+    guards bound the run. Completions stream lazily, so a first-hit run
+    stops building at the counterexample. The scope names what was
+    searched and what the outcome shows: a clean run is evidence, not a
+    proof, and a counterexample refutes the statement.
     """
     th = _lookup(theorem_id)
-    _check_budget(budget)
     if flt is None:
         flt = EnumerationFilter(max_elements=th.default_max_elements)
     eff = _poset_filter(th.over, flt)
     on_lattices = th.over == "lattices"
 
     start = time.perf_counter()
-    posets_checked = instances_checked = posets_skipped = 0
+    posets_checked = instances_checked = 0
     found: list[Counterexample] = []
 
     for p in enumerate_posets(eff):
-        try:  # the instances of p are its completions, or p itself
-            for ll in enumerate_completions(p, budget) if on_lattices else (None,):
-                instances_checked += 1
-                ce = _judge(th, p, ll)
-                if ce is not None:
-                    found.append(ce)
-                    if not collect_all:
-                        break
-        except BudgetError:  # raised before the first completion is built
-            posets_skipped += 1
-        else:
-            posets_checked += 1
+        posets_checked += 1
+        # the instances of p are its completions, or p itself
+        for ll in enumerate_completions(p) if on_lattices else (None,):
+            instances_checked += 1
+            ce = _judge(th, p, ll)
+            if ce is not None:
+                found.append(ce)
+                if not collect_all:
+                    break
         if found and not collect_all:
             break
 
@@ -719,7 +695,7 @@ def verify(
         max_elements=eff.max_elements,
         posets_checked=posets_checked,
         lattices_checked=instances_checked if on_lattices else 0,
-        posets_skipped=posets_skipped,
+        posets_skipped=0,
         counterexample=found[0] if found else None,
         elapsed=elapsed,
         scope=scope,
@@ -731,24 +707,18 @@ def verify(
 def independence_table(
     flt: EnumerationFilter | None = None,
     instances=None,
-    *,
-    budget: int | None = DEFAULT_COMPLETION_BUDGET,
 ) -> frozenset[tuple[bool, bool, bool]]:
     """Realized (semimodular, wlcc, lcc) truth triples.
 
     Classifies either the given instances or every completion of every
-    directed poset passing the filter. Budgets pass _check_budget, but an
-    over-budget poset raises BudgetError: a set of triples cannot report a
-    skipped poset, and a partial table would be a silent skip.
+    directed poset passing the filter; the stream guards bound the run,
+    so there is nothing to skip.
     """
-    _check_budget(budget)
     if instances is None:
         if flt is None:
             raise ArgumentError("need a filter or explicit instances")
         eff = _poset_filter("lattices", flt)
-        instances = (
-            ll for p in enumerate_posets(eff) for ll in enumerate_completions(p, budget)
-        )
+        instances = (ll for p in enumerate_posets(eff) for ll in enumerate_completions(p))
     triples = set()
     for ll in instances:
         triples.add((

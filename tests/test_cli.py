@@ -120,6 +120,7 @@ def test_verify_clean(capsys):
     assert main(["verify", "TH1", "--max-n", "3"]) == 0
     out = capsys.readouterr().out
     assert "counterexample: none" in out
+    assert "skipped" not in out  # the size guards bound a run, and it skips nothing
 
 
 def test_verify_counterexample_exit_1(capsys):
@@ -134,6 +135,7 @@ def test_verify_json(capsys):
     assert doc["theorem"] == "MONO"
     assert doc["counterexample"] is None
     assert doc["posets_checked"] == 1 + 2 + 6
+    assert doc["posets_skipped"] == 0
 
 
 @pytest.mark.parametrize("theorem_id, refuted_at, code, expected", [
@@ -156,26 +158,15 @@ def test_verify_unknown_theorem(capsys):
     assert "unknown theorem" in capsys.readouterr().err
 
 
-def test_verify_budget_flag(capsys):
-    # at n = 5 the 120 bounded posets whose middle is a V or a Lambda have two completions
-    assert main(["verify", "MONO", "--max-n", "5", "--budget", "1", "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["posets_skipped"] == 120
-    assert doc["posets_checked"] == 305
-
-
 @pytest.mark.parametrize("argv", [
     ["verify", "TH1", "--max-n", "0"],
     ["enumerate", "--n", "0"],
-    ["verify", "TH1", "--budget", "0"],
-    ["verify", "TH1", "--budget", "-1"],
 ])
 def test_sizes_and_budgets_below_one_exit_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     flag = argv[-2]  # a size error names the flag the user typed
-    what = "the completion budget" if flag == "--budget" else flag
-    assert captured.err.startswith(f"error: {what} must be at least 1")
+    assert captured.err.startswith(f"error: {flag} must be at least 1")
     assert "counterexample" not in captured.out
 
 
@@ -249,6 +240,10 @@ def test_export_dot(capsys, fig3_file):
 def test_usage_error_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+    assert main(["verify", "TH1", "--budget", "5"]) == 2  # no per-poset budget to set
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --budget 5" in captured.err
 
 
 def test_help_exit_0(capsys):

@@ -1,4 +1,6 @@
-from lamlat import Poset, export_dot
+import re
+
+from lamlat import Poset, export_dot, parse_instance
 from lamlat.fixtures import fixture, fixture_poset
 
 
@@ -50,3 +52,11 @@ def test_labels_used():
     dot = export_dot(fixture_poset("FIG5"))
     for name in ("0", "a", "b", "c", "d", "1"):
         assert f'[label="{name}"]' in dot
+
+
+def test_quotes_and_backslashes_in_labels_are_escaped():
+    # each label is a DOT string that unescapes back to the label
+    text = r'elements: 0 a"b c\ 1' + "\n" + r'covers: 0 < a"b  0 < c\  a"b < 1  c\ < 1' + "\n"
+    dot = export_dot(parse_instance(text))
+    values = re.findall(r'label=("(?:[^"\\]|\\.)*")\];$', dot, re.MULTILINE)
+    assert [re.sub(r"\\(.)", r"\1", v[1:-1]) for v in values] == ["0", 'a"b', "c\\", "1"]

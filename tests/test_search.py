@@ -218,9 +218,11 @@ def test_canonical_bounded_stream_is_one_block_of_canonical_middles():
 def test_canonical_masks_are_one_form_per_class():
     # A000112 classes; by orbit-stabilizer the labelings of a class number
     # n!/|Aut(P)|, so the classes' labelings sum to A001035, and a bounded
-    # labeling is a choice of bottom and top around a labeled middle
+    # labeling is a choice of bottom and top around a labeled middle; so
+    # n!/|Aut(P)| times P's completions, summed over the bounded classes up
+    # to 6, is the 19 955 labeled completions
     labeled = (1, 1, 3, 19, 219, 4231, 130023, 6129859)
-    sizes = []
+    sizes, completions = [], 1  # the one-element poset has one completion
     for n, (classes, forms) in enumerate(zip((1, 1, 2, 5, 16, 63, 318, 2045), _canonical_masks())):
         sizes.append(forms)
         assert len(forms) == classes
@@ -229,11 +231,14 @@ def test_canonical_masks_are_one_form_per_class():
         assert all(p._canonical[0] == p._up for p in posets)
         assert sum(factorial(n) // len(p._canonical[1]) for p in posets) == labeled[n]
         if n >= 2:
-            bounded = _bounded_posets(n, sizes[n - 2])
-            assert sum(factorial(n) // len(p._canonical[1]) for p in bounded) == (
-                n * (n - 1) * labeled[n - 2])
+            bounded = [(factorial(n) // len(p._canonical[1]), p)
+                       for p in _bounded_posets(n, sizes[n - 2])]
+            assert sum(k for k, _ in bounded) == n * (n - 1) * labeled[n - 2]
+            if n <= 6:
+                completions += sum(k * completion_count(p) for k, p in bounded)
         if n <= 5:
             assert forms == [r for r in _all_masks(n) if Poset._from_masks(n, r)._canonical[0] == r]
+    assert completions == 19955
 
 
 def test_a_canonical_run_builds_each_size_once(monkeypatch):
@@ -289,7 +294,9 @@ def test_canonical_filter_counts_isomorphism_classes():
 
 
 def test_hard_guard():
-    # labeled streams stop at 7 elements and canonical ones, bounded or not, at 8
+    # labeled streams stop at 7 elements and canonical ones, bounded or not, at
+    # 8; no bounded class up to 8 has more than 4 096 completions, and every
+    # labeling of a class has as many, so neither has a labeled poset up to 7
     with pytest.raises(BudgetError):
         list(enumerate_posets(EnumerationFilter(max_elements=8)))
     for bounded in (False, True):
@@ -297,8 +304,10 @@ def test_hard_guard():
             list(enumerate_posets(
                 EnumerationFilter(max_elements=9, require_bounded=bounded, canonical_only=True)))
     f = EnumerationFilter(max_elements=8, require_bounded=True, canonical_only=True)
-    classes = Counter(p.n for p in enumerate_posets(f))
+    posets = list(enumerate_posets(f))
+    classes = Counter(p.n for p in posets)
     assert [classes[n] for n in range(1, 9)] == [1, 1, 1, 2, 5, 16, 63, 318]
+    assert max(map(completion_count, posets)) == 4096
     with pytest.raises(ValueError):
         EnumerationFilter(max_elements=0)
 
@@ -327,13 +336,6 @@ def test_fig6_completions_include_family():
     family = [ll for ll in lls if ll.join_table[1][3] == 4]
     assert len(family) == 12
     assert fixture("FIG6") in family
-
-
-def test_completion_budget():
-    p = fixture_poset("FIG3")
-    with pytest.raises(BudgetError) as err:
-        list(enumerate_completions(p, budget=5))
-    assert err.value.required == 9
 
 
 def _product_of_choices(p):
@@ -431,17 +433,15 @@ def test_completions_need_directed():
         list(enumerate_completions(Poset([[1, 0], [0, 1]])))
 
 
-@pytest.mark.parametrize("budget", [1, None])
 @pytest.mark.parametrize("side", ["join", "meet"])
-def test_not_directed_is_reported_before_the_budget(side, budget):
+def test_not_directed_is_reported_before_any_completion_is_built(side):
     # 0 < 1, 2 < 3, 4 (or its dual): the pair (1, 2) has two joins (meets),
-    # which exceeds a budget of 1, but the later pair (3, 4) has no upper
-    # (lower) bound at all
+    # but the later pair (3, 4) has no upper (lower) bound at all
     covers = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
     p = Poset.from_covers(5, covers if side == "join" else [(b, a) for a, b in covers])
     assert p.incomparable_pairs == ((1, 2), (3, 4))
     with pytest.raises(NotDirectedError):
-        list(enumerate_completions(p, budget))
+        next(enumerate_completions(p))
 
 
 def test_completion_count_raises_where_the_stream_does_on_all_posets_up_to_4():
@@ -510,47 +510,13 @@ def test_verify_unknown_id():
         verify("NOPE")
 
 
-def test_verify_budget_skips_posets():
-    # bounded posets with n <= 4 have one completion each; at n = 5 the three
-    # middle elements form a V or a Lambda (6 of the 19 labeled three-element
-    # posets) in 6 * 20 posets, and those have two
-    r = verify("MONO", EnumerationFilter(max_elements=5), budget=1)
-    assert r.posets_skipped == 6 * 20
-    assert r.posets_checked == 425 - 120
-    assert r.lattices_checked == r.posets_checked
-    assert r.counterexample is None
-
-
 @pytest.mark.parametrize("call", [
-    lambda: verify("MONO", EnumerationFilter(max_elements=3), budget=0),
-    lambda: verify("MONO", EnumerationFilter(max_elements=3), budget=-1),
     lambda: EnumerationFilter(max_elements=0),
 ])
 def test_sizes_and_budgets_below_one_rejected(call):
     with pytest.raises(ArgumentError) as err:
         call()
     assert isinstance(err.value, LamlatError) and isinstance(err.value, ValueError)
-
-
-@pytest.mark.parametrize("budget", [0, -1])
-@pytest.mark.parametrize("run", [
-    lambda budget: verify("MONO", EnumerationFilter(max_elements=3), budget=budget),
-    lambda budget: independence_table(EnumerationFilter(max_elements=3), budget=budget),
-    lambda budget: independence_table(instances=[fixture("FIG2")], budget=budget),
-])
-def test_verify_and_independence_table_share_one_budget_check(run, budget):
-    with pytest.raises(ArgumentError) as err:
-        run(budget)
-    assert str(err.value) == f"the completion budget must be at least 1, got {budget}"
-
-
-def test_independence_table_raises_over_budget_and_takes_no_limit():
-    # a table of triples cannot report a skipped poset, so it never skips
-    flt = EnumerationFilter(max_elements=5)
-    with pytest.raises(BudgetError) as err:
-        independence_table(flt, budget=1)
-    assert str(err.value) == "2 completions exceed the budget of 1"
-    assert independence_table(flt, budget=None) == independence_table(flt)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -578,10 +544,6 @@ def test_malformed_posets_labels_and_tables_raise_argument_error(call, message):
         call()
     assert isinstance(err.value, LamlatError) and isinstance(err.value, ValueError)
     assert str(err.value) == message
-
-
-def test_unbudgeted_completions_allowed():
-    assert len(list(enumerate_completions(fixture_poset("FIG3"), budget=None))) == 9
 
 
 def test_mutant_chains_no_lu_finds_counterexample():
@@ -733,7 +695,7 @@ def test_violates_judges_every_instance_as_verify_does_up_to_5(theorem_id):
     instances = list(enumerate_posets(flt))
     if th.over == "lattices":
         instances = [ll for p in instances for ll in enumerate_completions(p)]
-        assert len(instances) == result.lattices_checked
+        assert len(instances) == result.lattices_checked == 545
     else:
         assert len(instances) == result.posets_checked
     expected = iter(result.all_counterexamples)
@@ -744,15 +706,6 @@ def test_violates_judges_every_instance_as_verify_does_up_to_5(theorem_id):
             assert (ce.witness, ce.note, ce.encoding()) == (want.witness, want.note, want.encoding())
             assert ce.to_dict() == want.to_dict()
     assert next(expected, None) is None
-
-
-def test_verify_budget_none_means_no_limit():
-    flt = EnumerationFilter(max_elements=5)
-    unlimited = verify("TH1", flt, budget=None)
-    assert unlimited.posets_skipped == 0
-    assert unlimited.to_dict() | {"elapsed_seconds": 0} == verify("TH1", flt).to_dict() | {
-        "elapsed_seconds": 0}
-    assert verify("MONO", flt, budget=None, collect_all=True).lattices_checked == 545
 
 
 def test_theorem_registry_shape():
