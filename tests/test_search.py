@@ -433,15 +433,19 @@ def test_completions_need_directed():
         list(enumerate_completions(Poset([[1, 0], [0, 1]])))
 
 
+@pytest.mark.parametrize(
+    "build", [lambda p: next(enumerate_completions(p)), completion_count], ids=["stream", "count"]
+)
 @pytest.mark.parametrize("side", ["join", "meet"])
-def test_not_directed_is_reported_before_any_completion_is_built(side):
+def test_not_directed_is_reported_before_any_completion_is_built(side, build):
     # 0 < 1, 2 < 3, 4 (or its dual): the pair (1, 2) has two joins (meets),
-    # but the later pair (3, 4) has no upper (lower) bound at all
+    # but the later pair (3, 4) has no upper (lower) bound at all, so neither
+    # the first completion nor a product of 2 * 0 completions comes back
     covers = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
     p = Poset.from_covers(5, covers if side == "join" else [(b, a) for a, b in covers])
     assert p.incomparable_pairs == ((1, 2), (3, 4))
     with pytest.raises(NotDirectedError):
-        next(enumerate_completions(p))
+        build(p)
 
 
 def test_completion_count_raises_where_the_stream_does_on_all_posets_up_to_4():
