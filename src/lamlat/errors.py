@@ -7,7 +7,7 @@ class LamlatError(Exception):
 
 class ArgumentError(LamlatError, ValueError):
     """An argument is malformed: a size below its allowed minimum,
-    an empty poset or restriction, labels that are not one distinct string
+    an empty poset or restriction, labels that are not one distinct token
     per element, a relabeling that is not a permutation, a choice spec with
     a same-element or conflicting pair, operation tables that are empty,
     not square, of the wrong size or asymmetric, a subset not closed under

@@ -299,20 +299,22 @@ def _check_bound(p: Poset, op: str, x: int, y: int, v) -> None:
         )
 
 
-# the bounded labeled posets with n <= 7 give 5 653 keys and the bounded
-# classes with n <= 8 give 267; the bound stops larger inputs growing it
+# the bounded labeled posets with n <= 7 give 5 653 keys (2.7 MB, cells
+# included) and the bounded classes with n <= 8 give 267; the bound stops
+# larger inputs growing it
 @lru_cache(maxsize=1 << 14)
-def _base_row(n: int, x: int, up: int, down: int) -> tuple[tuple, tuple, bool, tuple[Pair, ...]]:
-    # x's join and meet rows, whether x is incomparable to anything, and
-    # its incomparable pairs (x, y) with x < y; all depend only on the
-    # elements above and below x
+def _base_row(n: int, x: int, up: int, down: int) -> tuple[tuple, tuple, int, tuple, tuple]:
+    # x's join and meet rows, the mask of the elements incomparable to x,
+    # its incomparable cells (x, y) ascending, and those with x < y; all
+    # depend only on the elements above and below x
     j, m = [0] * n, [0] * n
     for y in _bits(up):
         j[y], m[y] = y, x
     for y in _bits(down):
         j[y], m[y] = x, y
     inc = ((1 << n) - 1) & ~(up | down)
-    return tuple(j), tuple(m), inc != 0, tuple([(x, y) for y in _bits(inc >> x + 1 << x + 1)])
+    cells = tuple([(x, y) for y in _bits(inc)])
+    return tuple(j), tuple(m), inc, cells, tuple([c for c in cells if c[1] > x])
 
 
 def _completion_rows(p: Poset) -> tuple[list, list, tuple[Pair, ...]]:
@@ -321,18 +323,22 @@ def _completion_rows(p: Poset) -> tuple[list, list, tuple[Pair, ...]]:
     Comparable cells hold max and min, incomparable ones 0. A row holding
     an incomparable cell is a fresh list copy of its cached _base_row
     tuple, for the caller to write; every other row is that tuple, shared
-    by every caller, which _frozen keeps as it is. The pairs are the
-    (x, y) with x < y and x || y, ascending; they also become
-    p.incomparable_pairs, so nothing that reads p's completions builds them again.
+    by every caller, which _frozen keeps as it is. The pass also stores
+    p._incomparable, p._incomparable_cells and p.incomparable_pairs, equal
+    to the Poset definitions, so nothing that reads p's completions builds
+    them again; the pairs are the (x, y) with x < y and x || y, ascending.
     """
     n = p.n
-    jt, mt, pairs = [], [], []
-    for j, m, free, later in map(_base_row, repeat(n), range(n), p._up, p._down):
+    jt, mt, inc, cells, pairs = [], [], [], [], []
+    for j, m, free, xcells, later in map(_base_row, repeat(n), range(n), p._up, p._down):
         if free:
             j, m = list(j), list(m)
+            cells += xcells
             pairs += later
         jt.append(j)
         mt.append(m)
+        inc.append(free)
+    p._incomparable, p._incomparable_cells = tuple(inc), tuple(cells)
     p.incomparable_pairs = pairs = tuple(pairs)
     return jt, mt, pairs
 

@@ -95,7 +95,7 @@ def _validate_order(n: int, up: Sequence[int]) -> None:
 
 
 def _checked_labels(n: int, labels: Sequence[str] | None) -> tuple[str, ...] | None:
-    """Labels as strings, one per element and pairwise distinct."""
+    """Labels as strings, one per element, pairwise distinct, each one token of an instance file."""
     if labels is None:
         return None
     labels = tuple(str(s) for s in labels)
@@ -103,6 +103,8 @@ def _checked_labels(n: int, labels: Sequence[str] | None) -> tuple[str, ...] | N
         raise ArgumentError("labels must match the element count")
     if len(set(labels)) != n:
         raise ArgumentError("labels must be unique")
+    if any(s.split() != [s] or "#" in s for s in labels):  # so parse_instance reads them back
+        raise ArgumentError("labels must be nonempty and hold no whitespace or '#'")
     return labels
 
 
@@ -502,7 +504,8 @@ class _BoundedPoset(Poset):
     where carrier[m] is the top plus the elements that the middle mask m
     selects by middle position. Each row is then one carrier lookup of
     the middle's row, computed on first use; every override equals the
-    Poset property it replaces.
+    Poset property it replaces. lattice._completion_rows stores the
+    incomparability facts.
     """
 
     @classmethod
@@ -530,20 +533,6 @@ class _BoundedPoset(Poset):
         for e, row in zip(middle, self._middle._down):
             out[e] = carrier[row] ^ swap
         return tuple(out)
-
-    @_cached
-    def _incomparable(self) -> tuple[int, ...]:
-        _, _, middle, carrier = self._block
-        out = [0] * self.n
-        tb = carrier[0]
-        for e, row in zip(middle, self._middle._incomparable):
-            out[e] = carrier[row] ^ tb
-        return tuple(out)
-
-    @_cached
-    def _incomparable_cells(self) -> tuple[tuple[int, int], ...]:
-        middle = self._block[2]  # increasing, so the cells keep their order
-        return tuple([(middle[x], middle[y]) for x, y in self._middle._incomparable_cells])
 
     @_cached
     def _covers_above(self) -> tuple[int, ...]:

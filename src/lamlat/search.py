@@ -261,14 +261,14 @@ def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:
             yield from map(Poset._from_masks, repeat(n), masks)
 
 
-def _bound_options(p: Poset, pairs) -> list[tuple[int, ...]]:
-    """Two option tuples per pair (x, y): its common upper bounds, then its common lower bounds."""
-    up, down, options = p._up, p._down, []
+def _bound_options(p: Poset, pairs) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+    """(x, y, its common upper bounds, its common lower bounds) per pair (x, y), lazily."""
+    up, down = p._up, p._down
     for x, y in pairs:
-        options += _bits(up[x] & up[y]), _bits(down[x] & down[y])
-    if not all(options):
-        raise NotDirectedError("completions need a directed poset")  # a pair lacks a bound
-    return options
+        ups, downs = _bits(up[x] & up[y]), _bits(down[x] & down[y])
+        if not (ups and downs):
+            raise NotDirectedError("completions need a directed poset")  # a bound is missing
+        yield x, y, ups, downs
 
 
 def enumerate_completions(p: Poset) -> Iterator[LambdaLattice]:
@@ -284,24 +284,26 @@ def enumerate_completions(p: Poset) -> Iterator[LambdaLattice]:
     completion is built trusted.
 
     The product is walked as an odometer: its wheels are the option
-    tuples with more than one option, the last turning fastest. A step
-    writes only the cells of the wheels that turned into the list rows
-    of _completion_rows and re-freezes only the rows holding them; every
-    other row is the previous completion's tuple, and a table none of
-    whose rows changed is the previous table. Rows without incomparable
-    cells are the shared _base_row tuples.
+    tuples with more than one option, the last turning fastest. The loop
+    that reads each pair's options writes the first completion's cells.
+    A step writes only the cells of the wheels that turned into the list
+    rows of _completion_rows and re-freezes only the rows holding them;
+    every other row is the previous completion's tuple, and a table none
+    of whose rows changed is the previous table. Rows without
+    incomparable cells are the shared _base_row tuples.
     """
     jt, mt, pairs = _completion_rows(p)
-    digits = _bound_options(p, pairs)
-    rows, frozen = (jt, mt), ([], [])  # frozen: each table's current row tuples, filled below
+    frozen = ([], [])  # each table's current row tuples, filled below
     wheels, last = [], [-1, -1]  # last: per table, the index of its last wheel
-    for k, options in enumerate(digits):  # digit 2i is pair i's join, 2i + 1 its meet
-        (x, y), side = pairs[k >> 1], k & 1
-        r = rows[side]
-        r[x][y] = r[y][x] = options[0]
-        if len(options) > 1:
-            last[side] = len(wheels)
-            wheels.append((options, len(options) - 1, r, frozen[side], x, y))
+    for x, y, ups, downs in _bound_options(p, pairs):  # the join's wheel before the meet's
+        jt[x][y] = jt[y][x] = ups[0]
+        mt[x][y] = mt[y][x] = downs[0]
+        if len(ups) > 1:
+            last[0] = len(wheels)
+            wheels.append((ups, len(ups) - 1, jt, frozen[0], x, y))
+        if len(downs) > 1:
+            last[1] = len(wheels)
+            wheels.append((downs, len(downs) - 1, mt, frozen[1], x, y))
     frozen[0].extend(map(tuple, jt))
     frozen[1].extend(map(tuple, mt))
     tables = [tuple(frozen[0]), tuple(frozen[1])]
@@ -338,7 +340,7 @@ def enumerate_completions(p: Poset) -> Iterator[LambdaLattice]:
 
 def completion_count(p: Poset) -> int:
     """Size of the completion stream without generating it; NotDirectedError as there."""
-    return prod(map(len, _bound_options(p, p.incomparable_pairs)))
+    return prod(len(u) * len(d) for _, _, u, d in _bound_options(p, p.incomparable_pairs))
 
 
 # ----- theorem registry -----

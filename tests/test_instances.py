@@ -3,6 +3,7 @@ from itertools import chain
 import pytest
 
 from lamlat import (
+    ArgumentError,
     BadChoiceError,
     CycleError,
     IncompleteChoiceError,
@@ -125,6 +126,30 @@ def test_roundtrip_every_fixture():
         back = parse_instance(render_instance(ll))
         assert back == ll, name
         assert back.labels == ll.labels, name
+
+
+@pytest.mark.parametrize("labels", [
+    ("a#x", "b c", "d"),  # '#' starts a comment and the space splits the name
+    ("", "b", "c"),
+    ("a", "b\tc", "d"),
+    ("a", "b", "c\n"),
+    ("a", "b\u2028", "c"),  # a line break for splitlines
+])
+def test_labels_that_would_not_parse_back_are_rejected(labels):
+    with pytest.raises(ArgumentError, match="labels must be nonempty and hold no whitespace or '#'"):
+        Poset.from_covers(3, [(0, 1), (0, 2)], labels=labels)
+    with pytest.raises(ArgumentError):
+        Poset([[1, 1, 1], [0, 1, 0], [0, 0, 1]], labels=labels)
+
+
+def test_labels_that_look_like_syntax_still_round_trip():
+    labels = ("<", "=", "acute", "elements:", "join:")
+    p = Poset.from_covers(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)], labels=labels)
+    ll = acute(p)
+    assert "join: = acute = join:" in render_instance(ll)  # the top, not the forced 'elements:'
+    for instance in (p, ll):
+        back = parse_instance(render_instance(instance))
+        assert back == instance and back.labels == labels
 
 
 def test_roundtrip_bare_poset():

@@ -30,7 +30,7 @@ from lamlat import (
     mk_poset,
 )
 from lamlat.fixtures import FIXTURE_NAMES, fixture, fixture_poset
-from lamlat.lattice import _completion_rows
+from lamlat.lattice import _base_row, _completion_rows
 from lamlat.verdict import HOLDS
 
 from oracles import (
@@ -53,9 +53,17 @@ def test_base_rows_match_oracle_up_to_5_and_fixtures():
     posets += [fixture_poset(name) for name in FIXTURE_NAMES]
     for p in posets:
         rel = relation_from_covers(p.n, p.covers)
+        cells = tuple(incomparable_cells_naive(p.n, rel))
         jt, mt, pairs = _completion_rows(p)
-        assert pairs == tuple((x, y) for x, y in incomparable_cells_naive(p.n, rel) if x < y)
+        assert pairs == tuple((x, y) for x, y in cells if x < y)
         assert p.incomparable_pairs is pairs
+        # each row's incomparable mask and cells, and what the pass stores from them
+        inc = tuple(sum(1 << y for c, y in cells if c == x) for x in range(p.n))
+        for x in range(p.n):
+            row = _base_row(p.n, x, p._up[x], p._down[x])
+            assert row[2:] == (inc[x], tuple(c for c in cells if c[0] == x),
+                               tuple(c for c in cells if c[0] == x < c[1])), (p, x)
+        assert (p._incomparable, p._incomparable_cells) == (inc, cells)
         for x in range(p.n):
             for y in range(p.n):
                 if (x, y) in rel:

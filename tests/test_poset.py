@@ -19,6 +19,7 @@ from lamlat import (
     mk_poset,
 )
 from lamlat.fixtures import FIXTURE_NAMES, fixture_poset
+from lamlat.lattice import _completion_rows
 from lamlat.poset import _bits, _BoundedPoset
 from lamlat.search import THEOREMS, _all_masks, _bounded_posets
 
@@ -288,11 +289,13 @@ def test_heights_match_oracle_on_every_poset_with_a_bottom_up_to_5_and_fixtures(
 
 
 def test_bounded_stream_posets_answer_like_plain_posets_up_to_6_and_sampled_at_7(bounded_upto6):
-    # the bounded stream's posets answer from their middle poset; each
-    # override must equal the generic property of the same order rows
-    overrides = ("bottom", "top", "_down", "_incomparable", "_incomparable_cells",
-                 "_covers_above")
+    # the bounded stream's posets answer from their middle poset, and the
+    # completion pass stores their incomparability facts; each override and
+    # each stored fact must equal the generic property of the same order rows
+    overrides = ("bottom", "top", "_down", "_covers_above")
+    facts = ("_incomparable", "_incomparable_cells", "incomparable_pairs")
     assert set(overrides) <= set(vars(_BoundedPoset))
+    assert not set(facts) & set(vars(_BoundedPoset))
     # bench/tracing.py rebinds these on Poset, so the stream must inherit them
     assert not {"leq", "is_directed", "maximal_chains_to_top", "has_lu_covering"} & set(
         vars(_BoundedPoset))
@@ -301,7 +304,11 @@ def test_bounded_stream_posets_answer_like_plain_posets_up_to_6_and_sampled_at_7
     from_middle = 0
     for p in bounded_upto6 + sample7:
         q = Poset._from_masks(p.n, p._up)
-        for name in overrides:
+        for name in facts:  # drop what an earlier read cached, so the pass supplies it
+            vars(p).pop(name, None)
+        _completion_rows(p)
+        assert set(facts) <= set(vars(p)), p
+        for name in overrides + facts:
             assert getattr(p, name) == getattr(q, name), (p, name)
         assert (p.covers, p.heights) == (q.covers, q.heights), p
         assert (p.atoms(), p.coatoms(), p.bounds()) == (q.atoms(), q.coatoms(), q.bounds()), p

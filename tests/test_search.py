@@ -599,6 +599,28 @@ def test_a_lattice_run_computes_each_streamed_posets_pairs_once(monkeypatch):
     assert len(computed) == 425 and set(computed.values()) == {1}
 
 
+@pytest.mark.parametrize("theorem_id", ["MONO", "TH1"])
+def test_a_lattice_run_reads_incomparability_only_from_the_completion_pass(monkeypatch, theorem_id):
+    # the completion pass stores each streamed poset's incomparable mask and
+    # cells, so the generic Poset definitions never run during a lattice run:
+    # not for a streamed poset, and not for the middles they are built from
+    ran = []
+    for name in ("_incomparable", "_incomparable_cells"):
+        def counted(p, generic=getattr(Poset, name).func):
+            ran.append(p)
+            return generic(p)
+
+        descriptor = _cached(counted)
+        descriptor.__set_name__(Poset, name)
+        monkeypatch.setattr(Poset, name, descriptor)
+    r = verify(theorem_id, EnumerationFilter(max_elements=5))
+    assert (r.posets_checked, r.lattices_checked) == (425, 545)
+    assert ran == []
+    p = mk_poset(2)  # outside the stream the generic definitions still answer
+    assert (p._incomparable, p._incomparable_cells) == ((0, 4, 2, 0), ((1, 2), (2, 1)))
+    assert ran == [p, p]
+
+
 def test_verify_reports_least_counterexample():
     collected = verify("TH1_LCC_CONCLUSION", EnumerationFilter(max_elements=5), collect_all=True)
     stopped = verify("TH1_LCC_CONCLUSION", EnumerationFilter(max_elements=5))
