@@ -8,6 +8,7 @@ when a property fails or a verification run produced a counterexample,
 import argparse
 import json
 import sys
+from dataclasses import fields
 from itertools import product
 from pathlib import Path
 
@@ -76,13 +77,10 @@ def _cmd_check(args) -> int:
     payload = {"instance": name, "kind": "lambda-lattice", "n": inst.n,
                "axioms": report.to_dict(), "all_pass": report.all_pass}
     lines = [f"instance: {name} (lambda-lattice, n={inst.n})"]
-    for label, v in (
-        ("commutativity", report.commutativity),
-        ("weak associativity", report.weak_associativity),
-        ("absorption", report.absorption),
-    ):
+    for f in fields(report):
+        v = getattr(report, f.name)
         state = "pass" if v.holds else f"FAIL at {v.witness} ({v.note})"
-        lines.append(f"{label}: {state}")
+        lines.append(f"{f.name.replace('_', ' ')}: {state}")
     lines.append(f"result: {'axioms hold' if report.all_pass else 'axiom violation'}")
     _emit(args, payload, "\n".join(lines) + "\n")
     return 0 if report.all_pass else 1
@@ -92,7 +90,7 @@ def _cmd_classify(args) -> int:
     name, inst = _load(args.file)
     if isinstance(inst, Poset):
         raise LamlatError(
-            "instance has no operation tables; add join:/meet: lines or 'acute'"
+            "instance has no operation tables; add join:/meet: lines, 'acute' or 'lattice'"
         )
     doc = build_report(name, inst)
     _emit(args, doc.to_dict(), render_text(doc))

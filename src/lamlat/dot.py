@@ -5,8 +5,7 @@ groups per height (when a bottom exists) reproduce the usual layered
 drawing. Output bytes are deterministic for a given instance.
 """
 
-from .instances import render_instance
-from .lattice import LambdaLattice
+from .lattice import LambdaLattice, _unforced
 from .poset import Poset
 
 
@@ -16,15 +15,10 @@ def export_dot(obj: Poset | LambdaLattice) -> str:
     names = [p.label(i).replace("\\", "\\\\").replace('"', '\\"') for i in range(p.n)]
     lines = ["digraph hasse {", "  rankdir=BT;"]
     if isinstance(obj, LambdaLattice):
-        choices = [
-            line for line in render_instance(obj).splitlines()
-            if line.startswith(("join:", "meet:"))
-        ]
         lines.append("  // non-forced choices:")
-        if choices:
-            lines.extend(f"  //   {line}" for line in choices)
-        else:
-            lines.append("  //   (none: all values forced by the order)")
+        lines += [
+            f"  //   {op}: {p.label(x)} {p.label(y)} = {p.label(v)}" for op, x, y, v in _unforced(obj)
+        ] or ["  //   (none: all values forced by the order)"]
     for i in range(p.n):
         lines.append(f'  n{i} [label="{names[i]}"];')
     if p.bottom is not None:

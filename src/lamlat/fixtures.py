@@ -3,90 +3,69 @@
 Seven small instances whose semimodularity / weak lower covering / lower
 covering profiles jointly realize every achievable combination of the
 three properties. Ids follow the numbering of the bundled Hasse diagrams.
+Each is written in the instance-file format of instances.py.
 """
 
 from functools import lru_cache
 
-from .lattice import ChoiceSpec, LambdaLattice, acute, from_choice
+from .instances import parse_instance
+from .lattice import LambdaLattice
 from .poset import Poset
 
-FIXTURE_NAMES = ("FIG2", "FIG2-VARIANT", "FIG3", "FIG4", "FIG5", "FIG6", "ACUTE-FIG3")
+_FIG2 = """\
+elements: 0 a b c d e 1
+covers: 0 < a  0 < b  0 < c  a < d  a < e  b < d  b < e  c < e  d < 1  e < 1
+meet: d e = b
+"""
+_FIG3 = """\
+elements: 0 a b c d 1
+covers: 0 < a  0 < b  a < c  a < d  b < c  b < d  c < 1  d < 1
+"""
+_TEXTS = {
+    "FIG2": _FIG2 + "join: a b = d\n",
+    "FIG2-VARIANT": _FIG2 + "join: a b = 1\n",  # as FIG2 but a v b goes to the top
+    "FIG3": _FIG3 + "join: a b = c\nmeet: c d = a\n",
+    "FIG4": """\
+elements: 0 a b c d e f g h 1
+covers: 0 < a  0 < b  a < c  a < d  b < d  b < e  c < f  c < g
+covers: d < f  d < g  d < h  e < g  e < h  f < 1  g < 1  h < 1
+join: a e = h
+join: b c = f
+join: c d = f
+join: d e = h
+meet: f g = c
+meet: g h = e
+""",
+    # meet(c, d) = 0 is a deliberately non-maximal lower bound
+    "FIG5": """\
+elements: 0 a b c d 1
+covers: 0 < a  a < b  a < c  b < d  c < 1  d < 1
+meet: c d = 0
+""",
+    # join(a, c) = d pins the family, see fig6_family(); the free choices
+    # take the least legal values
+    "FIG6": """\
+elements: 0 a b c d e 1
+covers: 0 < a  0 < c  a < b  b < d  b < e  c < d  c < e  d < 1  e < 1
+join: a c = d
+join: b c = d
+meet: d e = 0
+""",
+    "ACUTE-FIG3": _FIG3 + "acute\n",
+}
 
-# FIG6 is stored with one concrete completion; claims about it hold for the
-# whole family of completions sharing this join, see fig6_family().
-FIG6_FAMILY_CONSTRAINT = "join(a, c) = d"
-
-
-@lru_cache(maxsize=None)
-def fixture_poset(name: str) -> Poset:
-    """Underlying poset of a catalog instance."""
-    base = {"FIG2-VARIANT": "FIG2", "ACUTE-FIG3": "FIG3"}.get(name, name)
-    if base == "FIG2":
-        return Poset.from_covers(
-            7,
-            [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5), (4, 6), (5, 6)],
-            ("0", "a", "b", "c", "d", "e", "1"),
-        )
-    if base == "FIG3":
-        return Poset.from_covers(
-            6,
-            [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)],
-            ("0", "a", "b", "c", "d", "1"),
-        )
-    if base == "FIG4":
-        return Poset.from_covers(
-            10,
-            [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 6), (3, 7), (4, 6),
-             (4, 7), (4, 8), (5, 7), (5, 8), (6, 9), (7, 9), (8, 9)],
-            ("0", "a", "b", "c", "d", "e", "f", "g", "h", "1"),
-        )
-    if base == "FIG5":
-        return Poset.from_covers(
-            6,
-            [(0, 1), (1, 2), (1, 3), (2, 4), (4, 5), (3, 5)],
-            ("0", "a", "b", "c", "d", "1"),
-        )
-    if base == "FIG6":
-        return Poset.from_covers(
-            7,
-            [(0, 1), (1, 2), (0, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 6), (5, 6)],
-            ("0", "a", "b", "c", "d", "e", "1"),
-        )
-    raise KeyError(f"unknown fixture {name!r}")
+FIXTURE_NAMES = tuple(_TEXTS)
 
 
 @lru_cache(maxsize=None)
 def fixture(name: str) -> LambdaLattice:
     """A catalog instance by name; see FIXTURE_NAMES."""
-    p = fixture_poset(name)
-    if name == "FIG2":
-        # indices: 0=0 a=1 b=2 c=3 d=4 e=5 1=6
-        spec = ChoiceSpec(joins={(1, 2): 4, (1, 3): 5, (2, 3): 5}, meets={(4, 5): 2})
-    elif name == "FIG2-VARIANT":
-        # as FIG2 but a v b goes to the top
-        spec = ChoiceSpec(joins={(1, 2): 6, (1, 3): 5, (2, 3): 5}, meets={(4, 5): 2})
-    elif name == "FIG3":
-        # indices: 0=0 a=1 b=2 c=3 d=4 1=5
-        spec = ChoiceSpec(joins={(1, 2): 3}, meets={(3, 4): 1})
-    elif name == "FIG4":
-        # indices: 0=0 a=1 b=2 c=3 d=4 e=5 f=6 g=7 h=8 1=9
-        spec = ChoiceSpec(
-            joins={(1, 5): 8, (2, 3): 6, (3, 4): 6, (4, 5): 8},
-            meets={(6, 7): 3, (7, 8): 5},
-        )
-    elif name == "FIG5":
-        # indices: 0=0 a=1 b=2 c=3 d=4 1=5; meet(c, d) = 0 is a
-        # deliberately non-maximal lower bound
-        spec = ChoiceSpec(joins={(2, 3): 5, (3, 4): 5}, meets={(2, 3): 1, (3, 4): 0})
-    elif name == "FIG6":
-        # indices: 0=0 a=1 b=2 c=3 d=4 e=5 1=6; join(a, c) = d pins the
-        # family, the free choices take the least legal values
-        spec = ChoiceSpec(joins={(1, 3): 4, (2, 3): 4}, meets={(4, 5): 0})
-    elif name == "ACUTE-FIG3":
-        return acute(p)
-    else:
-        raise KeyError(f"unknown fixture {name!r}")
-    return from_choice(p, spec)
+    return parse_instance(_TEXTS[name])
+
+
+def fixture_poset(name: str) -> Poset:
+    """Underlying poset of a catalog instance."""
+    return fixture(name).poset
 
 
 def catalog() -> dict[str, LambdaLattice]:
@@ -98,5 +77,4 @@ def fig6_family() -> list[LambdaLattice]:
     """Every completion of the FIG6 poset with join(a, c) = d."""
     from .search import enumerate_completions
 
-    p = fixture_poset("FIG6")
-    return [ll for ll in enumerate_completions(p) if ll.join_table[1][3] == 4]
+    return [ll for ll in enumerate_completions(fixture_poset("FIG6")) if ll.join_table[1][3] == 4]

@@ -7,13 +7,15 @@ Grammar (whitespace separated, '#' starts a comment, line order free):
     join: <a> <b> = <c>
     meet: <a> <b> = <c>
     acute
+    lattice
 
-A file with neither join/meet lines nor the acute directive parses to a
-bare Poset. Otherwise the result is a LambdaLattice: explicit
-assignments are applied first, then either every remaining incomparable
-pair goes to (top, bottom) when 'acute' is present, or pairs with a
-unique minimal upper bound / unique maximal lower bound are forced to
-it; anything still open is an error.
+A file with no join/meet line and neither directive parses to a bare
+Poset. Otherwise the result is a LambdaLattice: explicit assignments
+are applied first, then either every remaining incomparable pair goes
+to (top, bottom) when 'acute' is present, or pairs with a unique
+minimal upper bound / unique maximal lower bound are forced to it;
+anything still open is an error. 'lattice' only marks the text as a
+completion, for one whose every value is forced.
 """
 
 import re
@@ -34,7 +36,7 @@ def parse_instance(text: str) -> Poset | LambdaLattice:
     elements: list[str] | None = None
     covers: list[tuple[str, str, int, int]] = []
     assignments: list[tuple[str, str, str, str, int, int]] = []
-    acute_flag = False
+    directives: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = _tokens(raw.split("#", 1)[0])
@@ -65,10 +67,10 @@ def parse_instance(text: str) -> Poset | LambdaLattice:
             assignments.append(
                 (head[:-1], rest[0][0], rest[1][0], rest[3][0], lineno, rest[0][1])
             )
-        elif head == "acute":
+        elif head in ("acute", "lattice"):
             if rest:
-                raise ParseError("unexpected tokens after 'acute'", lineno, rest[0][1])
-            acute_flag = True
+                raise ParseError(f"unexpected {rest[0][0]!r} after {head!r}", lineno, rest[0][1])
+            directives.add(head)
         else:
             raise ParseError(f"unknown directive {head!r}", lineno, col)
 
@@ -84,7 +86,7 @@ def parse_instance(text: str) -> Poset | LambdaLattice:
     pairs = [(resolve(a, ln, c), resolve(b, ln, c)) for a, b, ln, c in covers]
     poset = Poset.from_covers(len(elements), pairs, labels=tuple(elements))
 
-    if not assignments and not acute_flag:
+    if not assignments and not directives:
         return poset
 
     joins: dict[tuple[int, int], int] = {}
@@ -106,7 +108,7 @@ def parse_instance(text: str) -> Poset | LambdaLattice:
             raise ParseError(f"duplicate {kind} assignment for {a}, {b}", lineno, col)
         target[key] = v
 
-    if acute_flag and poset.bounds() is not None:
+    if "acute" in directives and poset.bounds() is not None:
         for key in poset.incomparable_pairs:  # every open pair goes to (top, bottom)
             joins.setdefault(key, poset.top)
             meets.setdefault(key, poset.bottom)
@@ -117,7 +119,8 @@ def render_instance(obj: Poset | LambdaLattice) -> str:
     """Canonical text for an instance; parse_instance inverts it.
 
     Join/meet lines appear only for values the forced-fill rule would
-    not reproduce, so rendering is minimal as well as lossless.
+    not reproduce, so rendering is minimal as well as lossless; a
+    completion with none gets a bare 'lattice' line instead.
     """
     p = obj.poset if isinstance(obj, LambdaLattice) else obj
     names = [p.label(i) for i in range(p.n)]
@@ -126,5 +129,6 @@ def render_instance(obj: Poset | LambdaLattice) -> str:
     if covers:
         lines.append("covers: " + "  ".join(f"{names[a]} < {names[b]}" for a, b in covers))
     if isinstance(obj, LambdaLattice):
-        lines += [f"{op}: {names[x]} {names[y]} = {names[v]}" for op, x, y, v in _unforced(obj)]
+        picks = [f"{op}: {names[x]} {names[y]} = {names[v]}" for op, x, y, v in _unforced(obj)]
+        lines += picks or ["lattice"]
     return "\n".join(lines) + "\n"

@@ -1,6 +1,6 @@
 """Aggregate per-instance report documents, renderable as text or dicts."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .checkers import (
     AcuteCharacterization,
@@ -44,25 +44,20 @@ class ReportDocument(DictRecord):
 def build_report(name: str, ll: LambdaLattice) -> ReportDocument:
     """Classify one instance and gather heights, chains and the acute clause."""
     p = ll.poset
-    heights = p.heights if p.bottom is not None else None
-    chain_summary = None
-    if p.bounds() is not None:
-        lengths = p.chain_lengths_to_top()
-        chain_summary = ChainSummary(
-            equal_length_from_every_element=all(m.bit_count() == 1 for m in lengths),
-            count_from_bottom=p.chain_counts_to_top()[p.bottom],
-            lengths_from_bottom=_bits(lengths[p.bottom]),
-        )
-    acute_clause = acute_characterization(p) if p.bounds() is not None else None
+    lengths = p.chain_lengths_to_top()
     return ReportDocument(
         name=name,
         n=p.n,
         labels=tuple(p.label(i) for i in range(p.n)),
         axioms=ll.axiom_report(),
         properties=classify(ll),
-        heights=heights,
-        chain_summary=chain_summary,
-        acute=acute_clause,
+        heights=p.heights,
+        chain_summary=ChainSummary(
+            equal_length_from_every_element=all(m.bit_count() == 1 for m in lengths),
+            count_from_bottom=p.chain_counts_to_top()[p.bottom],
+            lengths_from_bottom=_bits(lengths[p.bottom]),
+        ),
+        acute=acute_characterization(p),
     )
 
 
@@ -75,23 +70,12 @@ def _fmt_verdict(v) -> str:
 
 def render_text(doc: ReportDocument) -> str:
     lines = [f"instance: {doc.name} (n={doc.n})"]
-    lines.append("axioms:")
-    lines.append(f"  commutativity:      {_fmt_verdict(doc.axioms.commutativity)}")
-    lines.append(f"  weak associativity: {_fmt_verdict(doc.axioms.weak_associativity)}")
-    lines.append(f"  absorption:         {_fmt_verdict(doc.axioms.absorption)}")
-    lines.append("properties:")
-    props = doc.properties
-    for label, v in (
-        ("semimodular", props.semimodular),
-        ("wlcc", props.wlcc),
-        ("lcc", props.lcc),
-        ("cond3", props.cond3),
-        ("cond4", props.cond4),
-        ("cond5", props.cond5),
-        ("dcc", props.dcc),
-        ("lu-covering", props.lu_covering),
-    ):
-        lines.append(f"  {label + ':':<13}{_fmt_verdict(v)}")
+    for title, width, dash in (("axioms", 20, " "), ("properties", 13, "-")):
+        lines.append(f"{title}:")
+        record = getattr(doc, title)
+        for f in fields(record):
+            label = f.name.replace("_", dash) + ":"
+            lines.append(f"  {label:<{width}}{_fmt_verdict(getattr(record, f.name))}")
     if doc.heights is not None:
         shown = " ".join(f"{doc.labels[i]}={h}" for i, h in enumerate(doc.heights))
         lines.append(f"heights: {shown}")

@@ -1,6 +1,6 @@
 import re
 
-from lamlat import Poset, export_dot, parse_instance
+from lamlat import Poset, export_dot, from_choice, mk_poset, parse_instance
 from lamlat.fixtures import fixture, fixture_poset
 
 
@@ -35,6 +35,11 @@ def test_choices_in_comment_block():
     assert "// non-forced choices:" in dot
     assert "//   join: a b = c" in dot
     assert "//   meet: c d = a" in dot
+
+
+def test_a_lattice_says_every_value_is_forced():
+    dot = export_dot(from_choice(mk_poset(2)))
+    assert "  // non-forced choices:\n  //   (none: all values forced by the order)\n" in dot
 
 
 def test_bare_poset_has_no_choice_block():

@@ -12,8 +12,10 @@ from lamlat import (
     ParseError,
     Poset,
     acute,
+    from_choice,
+    mk_poset,
 )
-from lamlat.fixtures import FIXTURE_NAMES, fixture, fixture_poset
+from lamlat.fixtures import fixture, fixture_poset
 from lamlat.instances import parse_instance, render_instance
 
 from oracles import incomparable_cells_naive, least_bound_naive, relation_from_covers
@@ -120,12 +122,26 @@ def test_parse_comments_and_blank_lines():
     assert p.covers == ((0, 1),)
 
 
-def test_roundtrip_every_fixture():
-    for name in FIXTURE_NAMES:
-        ll = fixture(name)
-        back = parse_instance(render_instance(ll))
-        assert back == ll, name
-        assert back.labels == ll.labels, name
+def test_roundtrip_every_completion_and_fixture(completions_upto5, fixtures):
+    # a completion whose every value is forced, as any lattice, reads back
+    # through its bare 'lattice' line; a chain has no incomparable pair at all
+    chain_completion = from_choice(Poset.from_covers(3, [(0, 1), (1, 2)]))
+    marked = 0
+    for ll in chain(completions_upto5, fixtures.values(), [chain_completion]):
+        text = render_instance(ll)
+        back = parse_instance(text)
+        assert back == ll and render_instance(back) == text, text
+        marked += text.endswith("\nlattice\n")
+    assert marked == 425 + 1
+
+
+def test_lattice_directive_marks_a_completion():
+    text = "elements: 0 a b 1\ncovers: 0 < a  0 < b  a < 1  b < 1\n"
+    assert isinstance(parse_instance(text), Poset)
+    assert parse_instance(text + "lattice\n") == from_choice(mk_poset(2))
+    with pytest.raises(ParseError, match="'now' after 'lattice'") as err:
+        parse_instance(text + "lattice now\n")
+    assert (err.value.line, err.value.column) == (3, 9)
 
 
 @pytest.mark.parametrize("labels", [
