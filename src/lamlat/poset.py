@@ -154,6 +154,16 @@ class Poset:
         return p
 
     @classmethod
+    def _with_top(cls, n: int, up: tuple[int, ...], top: int | None) -> "Poset":
+        # trusted path for the labeled stream: up is the row tuple and top its greatest element
+        p = cls.__new__(cls)
+        p.n = n  # one store each: a four-name unpacking builds and unpacks a tuple
+        p._up = up
+        p.labels = None
+        p.top = top
+        return p
+
+    @classmethod
     def from_covers(cls, n: int, covers: Iterable[tuple[int, int]],
                     labels: Sequence[str] | None = None) -> "Poset":
         """Reflexive-transitive closure of a cover list; rejects cyclic input."""
@@ -233,7 +243,11 @@ class Poset:
 
     @_cached
     def top(self) -> int | None:
-        """The greatest element: the one bit of the AND of the up-set rows, if any."""
+        """The greatest element: the one bit of the AND of the up-set rows, if any.
+
+        The labeled stream stores it at build (_with_top), from the AND its
+        walk keeps; any other poset computes it on first read.
+        """
         common = reduce(and_, self._up)
         return common.bit_length() - 1 if common else None
 
@@ -248,12 +262,11 @@ class Poset:
     @_cached
     def _covers_above(self) -> tuple[int, ...]:
         # the covers of x: its strict up-set minus everything strictly above a member
-        strict = [row & ~(1 << x) for x, row in enumerate(self._up)]
-        out = []
-        for s in strict:
-            higher = 0
+        up, out = self._up, []
+        for x, row in enumerate(up):
+            s, higher = row ^ 1 << x, 0
             for z in _bits(s):
-                higher |= strict[z]
+                higher |= up[z] ^ 1 << z
             out.append(s & ~higher)
         return tuple(out)
 

@@ -66,8 +66,8 @@ class EnumerationFilter:
 # element in it forces its own row's bits above j, and the other bits above
 # j inside cap are free. Every such prefix extends to a poset, so the walk
 # never dead-ends, and taking each row's candidates ascending by (high
-# part, low part) makes the stream ascend. Nothing but the current path is
-# held.
+# part, low part) makes the stream ascend. Nothing but the current path and
+# the batch of its last two rows is held.
 
 
 def _holders(rows: tuple[int, ...], bit: int, full: int) -> tuple[int, int]:
@@ -90,13 +90,14 @@ def _submasks(mask: int) -> Iterator[int]:
         sub = (sub - mask) & mask
 
 
-def _row_walk(n: int, rows: tuple[int, ...], ups: list[int]) -> Iterator[list[tuple[int, ...]]]:
-    """Every completion of rows to a poset on n elements, ascending, in batches.
+def _row_walk(n: int, rows: tuple[int, ...], ups: list[int],
+              common: int) -> Iterator[tuple[list[tuple[int, ...]], list[int | None]]]:
+    """Every completion of at most n - 3 rows to a poset on n elements, ascending, in batches.
 
     ups holds the up-sets of the order rows induce on 0..len(rows)-1,
-    ascending. The step for row n - 2 also picks the last row, which is
-    the last element plus an up-set inside one mask, and yields all
-    completions of rows as one batch.
+    ascending, and common is the AND of rows. The step for row n - 3
+    hands each of its choices to _last_rows and yields the completions of
+    each as one batch of row tuples, with the list of their tops.
     """
     j = len(rows)
     bit, full = 1 << j, (1 << n) - 1
@@ -109,37 +110,77 @@ def _row_walk(n: int, rows: tuple[int, ...], ups: list[int]) -> Iterator[list[tu
             for i in _bits(s):
                 forced |= rows[i]
             cands.append((s, forced & high))
-    if j + 2 < n:
-        for sub in _submasks(high):
-            for s, forced in cands:
-                if not forced & ~sub:
-                    # the up-sets of the order on 0..j, still ascending
-                    nups = [t for t in ups if not t & below] + [t | bit for t in ups if not s & ~t]
-                    yield from _row_walk(n, (*rows, sub | bit | s), nups)
-        return
-    last = 1 << (j + 1)
-    lbelow, lcap = _holders(rows, last, full)
+    # the up-sets of the order on 0..j, still ascending, depend on the low part alone
+    keep = [t for t in ups if not t & below]
+    kids = [(s, forced, keep + [t | bit for t in ups if not s & ~t]) for s, forced in cands]
+    picks = ((sub | bit | s, nups) for sub in _submasks(high)
+             for s, forced, nups in kids if not forced & ~sub)
+    for row, nups in picks:
+        if j + 3 < n:
+            yield from _row_walk(n, rows + (row,), nups, common & row)
+        else:
+            yield _last_rows(n, rows + (row,), nups, common & row)
+
+
+def _last_rows(n: int, rows: tuple[int, ...], ups: list[int],
+               common: int) -> tuple[list[tuple[int, ...]], list[int | None]]:
+    """Every completion of n - 2 rows, ascending, and the list of their tops.
+
+    ups and common are as in _row_walk. The last row is the last element
+    plus an up-set inside one mask, so both rows are picked at once. Row j
+    = n - 2 may hold the last element only if cap does, and must if a
+    member of its low part does. A top is the one bit of the AND of all
+    rows, so no completion has one when common is 0.
+    """
+    j = len(rows)
+    bit, last = 1 << j, 2 << j
+    below = lbelow = 0
+    cap = lcap = (1 << n) - 1
+    for i, row in enumerate(rows):  # _holders for bit and for last in one pass
+        if row & bit:
+            below |= 1 << i
+            cap &= row
+        if row & last:
+            lbelow |= 1 << i
+            lcap &= row
+    cands = [s for s in ups if not s & (below | ~cap)]
+    forcing = lbelow if cap & last else 0
     batch = []
     out = ~(lcap & ~lbelow)  # what the last row misses when row j misses it
-    for s, forced in cands:
-        if not forced:
-            pre = (*rows, bit | s)
-            batch += [(*pre, last | t) for t in ups if not t & (below | out)]
-            if not bit & out:
-                batch += [(*pre, last | bit | t) for t in ups if not s & ~t and not t & out]
-    if high:  # row j holds the last element, so the last row lies inside row j
-        out = ~(lcap & ~(lbelow | bit))
-        for s, _ in cands:
-            pre = (*rows, high | bit | s)
-            batch += [(*pre, last | t) for t in ups if not t & (below | out | ~s)]
-    yield batch
+    lone = [(last | t,) for t in ups if not t & (below | out)]
+    with_j = [] if bit & out else [last | bit | t for t in ups if not t & out]
+    for s in cands:
+        if not s & forcing:
+            pre = rows + (bit | s,)
+            batch += map(pre.__add__, lone)
+            if with_j:
+                batch += [pre + (r,) for r in with_j if not s & ~r]
+    if cap & last:  # row j holds the last element, so the last row lies inside row j
+        inside = [last | t for t in ups if not t & (below | ~(lcap & ~(lbelow | bit)))]
+        for s in cands:
+            pre, other = rows + (last | bit | s,), ~(s | last)
+            batch += [pre + (r,) for r in inside if not r & other]
+    if not common:
+        return batch, [None] * len(batch)
+    return batch, [a.bit_length() - 1 if (a := common & up[j] & up[-1]) else None for up in batch]
+
+
+def _walk(n: int) -> Iterator[tuple[list[tuple[int, ...]], list[int | None]]]:
+    """Every labeled poset on n elements as batches of up-set rows, ascending, with their tops.
+
+    A poset's top is its greatest element, or None; the walk reads it off
+    the AND of the rows it keeps along its path.
+    """
+    if n > 2:
+        return _row_walk(n, (), [0], (1 << n) - 1)
+    if n == 2:
+        return iter((_last_rows(2, (), [0], 3),))
+    return iter((([(1,) if n else ()], [0 if n else None]),))  # the one poset on n < 2 elements
 
 
 def _all_masks(n: int) -> Iterator[tuple[int, ...]]:
-    """Every labeled poset on n elements as up-set rows, strictly ascending, one at a time."""
-    if n < 2:
-        return iter(((1,) if n else (),))
-    return chain.from_iterable(_row_walk(n, (), [0]))
+    """Every labeled poset on n elements as up-set rows, strictly ascending, one at a time (_walk)."""
+    return chain.from_iterable(batch for batch, _ in _walk(n))
 
 
 def _canonical_masks() -> Iterator[list[tuple[int, ...]]]:
@@ -243,6 +284,9 @@ def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:
     encoding, so output is deterministic and the first hit of any scan
     is the least in encoding order among the posets streamed. A size
     above the stream's guard raises BudgetError before anything is built.
+    Every labeled poset is built once from _walk's batches with its top
+    already stored; bounded posets and canonical forms find theirs on
+    first read.
     """
     guard = HARD_MAX_CANONICAL if f.canonical_only else HARD_MAX_ELEMENTS
     if f.max_elements > guard:
@@ -256,9 +300,11 @@ def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:
     for n in range(1, f.max_elements + 1):
         if f.require_bounded:
             yield from _bounded_posets(n, next(forms) if f.canonical_only and n > 1 else None)
+        elif f.canonical_only:
+            yield from map(Poset._from_masks, repeat(n), next(forms))
         else:
-            masks = next(forms) if f.canonical_only else _all_masks(n)
-            yield from map(Poset._from_masks, repeat(n), masks)
+            for batch, tops in _walk(n):
+                yield from map(Poset._with_top, repeat(n), batch, tops)
 
 
 def _bound_options(p: Poset, pairs) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
@@ -663,21 +709,29 @@ def verify(
     on_lattices = th.over == "lattices"
 
     start = time.perf_counter()
-    posets_checked = instances_checked = 0
+    posets_checked = lattices_checked = 0
     found: list[Counterexample] = []
 
-    for p in enumerate_posets(eff):
-        posets_checked += 1
-        # the instances of p are its completions, or p itself
-        for ll in enumerate_completions(p) if on_lattices else (None,):
-            instances_checked += 1
-            ce = _judge(th, p, ll)
+    if on_lattices:  # the instances of p are its completions
+        for p in enumerate_posets(eff):
+            posets_checked += 1
+            for ll in enumerate_completions(p):
+                lattices_checked += 1
+                ce = _judge(th, p, ll)
+                if ce is not None:
+                    found.append(ce)
+                    if not collect_all:
+                        break
+            if found and not collect_all:
+                break
+    else:  # p itself is the instance
+        for p in enumerate_posets(eff):
+            posets_checked += 1
+            ce = _judge(th, p, None)
             if ce is not None:
                 found.append(ce)
                 if not collect_all:
                     break
-        if found and not collect_all:
-            break
 
     elapsed = time.perf_counter() - start
     kind = "bounded posets" if eff.require_bounded else "posets"
@@ -696,7 +750,7 @@ def verify(
         theorem_id=th.theorem_id,
         max_elements=eff.max_elements,
         posets_checked=posets_checked,
-        lattices_checked=instances_checked if on_lattices else 0,
+        lattices_checked=lattices_checked,
         posets_skipped=0,
         counterexample=found[0] if found else None,
         elapsed=elapsed,

@@ -164,6 +164,23 @@ def cover_relation(n, rel):
     }
 
 
+def covers_above_strict(up):
+    """Per element, the mask of its covers, from up-set bitmask rows by the
+    rule Poset._covers_above first used: each element's strict up-set minus
+    the strict up-sets of its members, from a list of every strict up-set.
+    It shares the package's representation and is kept as the reference
+    for the faster rule."""
+    strict = [row & ~(1 << x) for x, row in enumerate(up)]
+    out = []
+    for s in strict:
+        higher = 0
+        for z in range(len(up)):
+            if s >> z & 1:
+                higher |= strict[z]
+        out.append(s & ~higher)
+    return tuple(out)
+
+
 def semimodular_witness(n, rel, join, meet):
     """x || y and x^y < z < x with no u, x^y < u <= y, such that (z v u) ^ x = z."""
     for x in range(n):

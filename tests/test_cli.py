@@ -182,6 +182,13 @@ def test_enumerate_count_only(capsys):
     assert "n=3: 19" in out and "total: 23" in out
 
 
+def test_enumerate_counts_every_labeled_poset_up_to_6(capsys):
+    assert main(["enumerate", "--n", "6", "--count-only", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["counts"]["6"] == 130023
+    assert doc["total"] == 134496  # A001035 summed over n = 1..6
+
+
 def test_enumerate_bounded_json(capsys):
     assert main(["enumerate", "--n", "3", "--bounded", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -28,6 +28,7 @@ from oracles import (
     all_labeled_posets_naive,
     cover_paths,
     cover_relation,
+    covers_above_strict,
     equal_chain_lengths_failure,
     has_top,
     incomparable_cells_naive,
@@ -335,6 +336,15 @@ def test_convexity_fig2():
     assert not p.is_convex({0, 4})  # a sits between 0 and d
     assert p.is_convex(set())
     assert p.is_convex(range(p.n))
+
+
+def test_cover_rows_match_the_strict_list_rule_on_all_labeled_posets_at_6():
+    # the cover_relation comparison below stops at 5 elements
+    count = 0
+    for up in _all_masks(6):
+        assert Poset._from_masks(6, up)._covers_above == covers_above_strict(up), up
+        count += 1
+    assert count == 130023
 
 
 def test_atoms_coatoms():

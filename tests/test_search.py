@@ -106,6 +106,31 @@ def test_labeled_stream_up_to_six_is_pinned():
     assert digest.hexdigest() == LABELED_UPTO6_SHA256
 
 
+def test_labeled_stream_stores_each_top_from_the_walk():
+    # every labeled poset comes with its top already stored, the one the
+    # AND of its rows gives; the bounded and canonical streams build their
+    # posets as before and leave the top to its first read
+    n, rows = 0, []
+    for p in enumerate_posets(EnumerationFilter(max_elements=6)):
+        if p.n != n:
+            assert rows == [] or rows == list(_all_masks(n))
+            n, rows = p.n, []
+        assert "top" in vars(p)
+        assert p.top == Poset._from_masks(p.n, p._up).top, p
+        rows.append(p._up)
+    assert n == 6 and rows == list(_all_masks(6))
+    for p in enumerate_posets(EnumerationFilter(max_elements=5, require_bounded=True)):
+        assert type(p) is _BoundedPoset or p.n == 1
+        assert "top" not in vars(p)
+    forms = _canonical_masks()
+    next(forms)
+    for n in range(1, 6):
+        canonical = EnumerationFilter(max_elements=n, canonical_only=True)
+        posets = [p for p in enumerate_posets(canonical) if p.n == n]
+        assert [p._up for p in posets] == next(forms)
+        assert all(vars(p).keys() == {"n", "_up", "labels"} for p in posets)
+
+
 def test_labeled_walk_matches_sorted_naive_oracle_up_to_4():
     assert tuple(_all_masks(0)) == ((),)
     for n in range(1, 5):
