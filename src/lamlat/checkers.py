@@ -2,9 +2,9 @@
 
 Comparable-cell rule: a lambda-lattice holds max and min on every
 comparable pair, so on those cells each condition here holds from the
-order alone. The checkers therefore scan only the poset's cached
-Poset._incomparable_cells, the ordered pairs (x, y) with x || y in
-ascending order, so the first failure found is still the least witness.
+order alone. The checkers therefore scan only the ordered pairs (x, y)
+with x || y, ascending: Poset._incomparable_cells, which the completion
+pass stores, so the first failure found is still the least witness.
 Where the premise is not itself x || y, the docstring gives the reason
 the comparable cells are safe to skip.
 """

@@ -21,6 +21,7 @@ from .lattice import LambdaLattice
 from .poset import Poset
 from .report import build_report, render_text
 from .search import EnumerationFilter, enumerate_posets, verify
+from .search import HARD_MAX_CANONICAL, HARD_MAX_ELEMENTS  # the size guards the help names
 
 # enumerate lists at most this many posets, above the 184 697 bounded ones up to
 # 7 elements; longer listings (labeled n = 7 alone has 6 129 859) would exhaust memory
@@ -235,12 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="replay a registered theorem over all small instances")
     p.add_argument("theorem", help="theorem id, e.g. TH1 (see README for the list)")
-    p.add_argument("--max-n", type=int, default=None, help="largest carrier size, at most 7")
+    p.add_argument("--max-n", type=int, default=None,
+                   help=f"largest carrier size, at most {HARD_MAX_ELEMENTS}")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("enumerate", parents=[common], help="stream labeled posets or their classes")
     p.add_argument("--n", type=int, required=True,
-                   help="largest carrier size, at most 7, or 8 with --canonical")
+                   help=f"largest carrier size, at most {HARD_MAX_ELEMENTS}, "
+                        f"or {HARD_MAX_CANONICAL} with --canonical")
     p.add_argument("--bounded", "--directed", action="store_true")
     p.add_argument("--canonical", action="store_true",
                    help="one representative per isomorphism class")

@@ -15,7 +15,7 @@ class ArgumentError(LamlatError, ValueError):
 
 
 class RangeError(LamlatError):
-    """An element index or table entry is outside 0..n-1."""
+    """An element index or table entry is not an int in 0..n-1; a bool counts as none."""
 
 
 class InvalidOrderError(LamlatError):

@@ -1,8 +1,7 @@
 """Lambda-lattice algebras: operation tables, axiom checks, completions of directed posets."""
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import product, repeat
+from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -13,7 +12,7 @@ from .errors import (
     RangeError,
     UnboundedError,
 )
-from .poset import Poset, _bits, _check_index, _least, _positions
+from .poset import Poset, _bits, _check_index, _completion_rows, _least, _positions
 from .verdict import HOLDS, DictRecord, Verdict
 
 Pair = tuple[int, int]
@@ -22,12 +21,14 @@ Pair = tuple[int, int]
 def _normalized(assignments: Mapping[Pair, int]) -> dict[Pair, int]:
     out: dict[Pair, int] = {}
     for (x, y), v in dict(assignments).items():
+        if not all(isinstance(i, int) and not isinstance(i, bool) for i in (x, y, v)):
+            raise RangeError(f"pick ({x!r}, {y!r}) = {v!r} holds an element that is not an int")
         if x == y:
             raise ArgumentError(f"({x}, {y}) is not a pair of distinct elements")
         key = (x, y) if x < y else (y, x)
         if key in out and out[key] != v:
             raise ArgumentError(f"conflicting assignments for pair {key}")
-        out[key] = int(v)
+        out[key] = v
     return out
 
 
@@ -62,12 +63,11 @@ def _table(t) -> tuple[tuple[int, ...], ...]:
         raise ArgumentError("an operation table needs at least one element")
     rows = []
     for row in t:
-        row = tuple(int(v) for v in row)
+        row = tuple(row)
         if len(row) != n:
             raise ArgumentError("operation table must be square")
         for v in row:
-            if not 0 <= v < n:
-                raise RangeError(f"table entry {v} out of range 0..{n - 1}")
+            _check_index(n, v)
         rows.append(row)
     return tuple(rows)
 
@@ -297,50 +297,6 @@ def _check_bound(p: Poset, op: str, x: int, y: int, v) -> None:
             f"{op}({p.label(x)}, {p.label(y)}) = {p.label(v)} is not a common {side} bound",
             pair=(x, y),
         )
-
-
-# the bounded labeled posets with n <= 7 give 5 653 keys (2.7 MB, cells
-# included) and the bounded classes with n <= 8 give 267; the bound stops
-# larger inputs growing it
-@lru_cache(maxsize=1 << 14)
-def _base_row(n: int, x: int, up: int, down: int) -> tuple[tuple, tuple, int, tuple, tuple]:
-    # x's join and meet rows, the mask of the elements incomparable to x,
-    # its incomparable cells (x, y) ascending, and those with x < y; all
-    # depend only on the elements above and below x
-    j, m = [0] * n, [0] * n
-    for y in _bits(up):
-        j[y], m[y] = y, x
-    for y in _bits(down):
-        j[y], m[y] = x, y
-    inc = ((1 << n) - 1) & ~(up | down)
-    cells = tuple([(x, y) for y in _bits(inc)])
-    return tuple(j), tuple(m), inc, cells, tuple([c for c in cells if c[1] > x])
-
-
-def _completion_rows(p: Poset) -> tuple[list, list, tuple[Pair, ...]]:
-    """Join rows, meet rows and incomparable pairs of p, from one pass over its rows.
-
-    Comparable cells hold max and min, incomparable ones 0. A row holding
-    an incomparable cell is a fresh list copy of its cached _base_row
-    tuple, for the caller to write; every other row is that tuple, shared
-    by every caller, which _frozen keeps as it is. The pass also stores
-    p._incomparable, p._incomparable_cells and p.incomparable_pairs, equal
-    to the Poset definitions, so nothing that reads p's completions builds
-    them again; the pairs are the (x, y) with x < y and x || y, ascending.
-    """
-    n = p.n
-    jt, mt, inc, cells, pairs = [], [], [], [], []
-    for j, m, free, xcells, later in map(_base_row, repeat(n), range(n), p._up, p._down):
-        if free:
-            j, m = list(j), list(m)
-            cells += xcells
-            pairs += later
-        jt.append(j)
-        mt.append(m)
-        inc.append(free)
-    p._incomparable, p._incomparable_cells = tuple(inc), tuple(cells)
-    p.incomparable_pairs = pairs = tuple(pairs)
-    return jt, mt, pairs
 
 
 def from_choice(p: Poset, choice: ChoiceSpec | None = None) -> LambdaLattice:

@@ -1,10 +1,10 @@
 """Finite posets: order matrices, covers, bounds, heights, chains, convexity."""
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import chain, groupby, permutations, product
+from functools import cached_property, lru_cache, reduce
+from itertools import chain, groupby, permutations, product, repeat
 from operator import and_
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ArgumentError,
@@ -399,20 +399,22 @@ class Poset:
 
     @_cached
     def _incomparable(self) -> tuple[int, ...]:
-        # per element: the mask of elements incomparable to it
-        full = (1 << self.n) - 1
-        return tuple([full & ~(u | d) for u, d in zip(self._up, self._down)])
+        # per element: the mask of elements incomparable to it; this fact and the
+        # next two are stored by _completion_rows, so a first read runs that pass
+        _completion_rows(self)
+        return self._incomparable
 
     @_cached
     def _incomparable_cells(self) -> tuple[tuple[int, int], ...]:
         # every ordered pair (x, y) with x || y, ascending by x and then by y
-        inc = self._incomparable
-        return tuple([(x, y) for x in range(self.n) for y in _bits(inc[x])])
+        _completion_rows(self)
+        return self._incomparable_cells
 
     @_cached
     def incomparable_pairs(self) -> tuple[tuple[int, int], ...]:
         """Pairs (x, y) with x < y as indices and x, y order-incomparable."""
-        return tuple([(x, y) for x, y in self._incomparable_cells if x < y])
+        _completion_rows(self)
+        return self.incomparable_pairs
 
     def atoms(self) -> frozenset[int]:
         """Covers of the bottom element."""
@@ -507,27 +509,85 @@ class Poset:
         return f"Poset(n={self.n}, covers=[{pairs}])"
 
 
+# the bounded labeled posets with n <= 7 give 5 653 keys (2.7 MB, cells
+# included) and the bounded classes with n <= 8 give 267; the bound stops
+# larger inputs growing it
+@lru_cache(maxsize=1 << 14)
+def _base_row(n: int, x: int, up: int, down: int) -> tuple[tuple, tuple, int, tuple, tuple]:
+    # x's join and meet rows, the mask of the elements incomparable to x,
+    # its incomparable cells (x, y) ascending, and those with x < y; all
+    # depend only on the elements above and below x
+    j, m = [0] * n, [0] * n
+    for y in _bits(up):
+        j[y], m[y] = y, x
+    for y in _bits(down):
+        j[y], m[y] = x, y
+    inc = ((1 << n) - 1) & ~(up | down)
+    cells = tuple([(x, y) for y in _bits(inc)])
+    return tuple(j), tuple(m), inc, cells, tuple([c for c in cells if c[1] > x])
+
+
+def _completion_rows(p: Poset) -> tuple[list, list, tuple[tuple[int, int], ...]]:
+    """Join rows, meet rows and incomparable pairs of p, from one pass over its rows.
+
+    Comparable cells hold max and min, incomparable ones 0. A row holding
+    an incomparable cell is a fresh list copy of its cached _base_row
+    tuple, for the caller to write; every other row is that tuple, shared
+    by every caller, which lattice._frozen keeps as it is. The pass stores
+    p._incomparable, p._incomparable_cells and p.incomparable_pairs, and
+    is their one definition: the Poset properties of those names run it
+    on first read, so nothing that reads p's completions builds them
+    again. The pairs are the (x, y) with x < y and x || y, ascending.
+    """
+    n = p.n
+    jt, mt, inc, cells, pairs = [], [], [], [], []
+    for j, m, free, xcells, later in map(_base_row, repeat(n), range(n), p._up, p._down):
+        if free:
+            j, m = list(j), list(m)
+            cells += xcells
+            pairs += later
+        jt.append(j)
+        mt.append(m)
+        inc.append(free)
+    p._incomparable, p._incomparable_cells = tuple(inc), tuple(cells)
+    p.incomparable_pairs = pairs = tuple(pairs)
+    return jt, mt, pairs
+
+
 class _BoundedPoset(Poset):
     """A bounded poset that answers its order queries from its middle poset.
 
-    The middle is a plain Poset on the elements strictly between bottom
-    and top, in increasing order; the bounded stream shares it among all
-    its (bottom, top) blocks, so its own cached properties are computed
-    once, on first use. block is (bottom, top, middle elements, carrier),
-    where carrier[m] is the top plus the elements that the middle mask m
-    selects by middle position. Each row is then one carrier lookup of
-    the middle's row, computed on first use; every override equals the
-    Poset property it replaces. lattice._completion_rows stores the
-    incomparability facts.
+    A bounded labeled poset on n > 1 elements decomposes uniquely into a
+    bottom, a top and a poset on the other elements in increasing order,
+    its middle. The bounded stream builds its posets here, one (bottom,
+    top) block at a time, and shares each middle among all its blocks, so
+    the middle's cached properties are computed once, on first use. block
+    is (bottom, top, middle elements, carrier), where carrier[m] is the
+    top plus the elements that the middle mask m selects by middle
+    position. Each row is then one carrier lookup of the middle's row,
+    computed on first use; every override equals the Poset property it
+    replaces. No incomparability fact is overridden: _completion_rows
+    stores them, as for every poset.
     """
 
     @classmethod
-    def _from_block(cls, n: int, up: tuple[int, ...], block: tuple,
-                    middle: Poset) -> "_BoundedPoset":
-        # trusted path for the bounded stream; up must be the rows the block and middle describe
-        p = cls.__new__(cls)
-        p.n, p._up, p.labels, p._block, p._middle = n, up, None, block, middle
-        return p
+    def _block_posets(cls, n: int, b: int, t: int,
+                      middles: Iterable[Poset]) -> Iterator["_BoundedPoset"]:
+        """The posets of block (b, t), one per middle, in middle order: carrier rises with m."""
+        middle = [e for e in range(n) if e not in (b, t)]
+        carrier = [1 << t] * (1 << (n - 2))
+        for m in range(1, len(carrier)):
+            low = m & -m
+            carrier[m] = carrier[m ^ low] | 1 << middle[low.bit_length() - 1]
+        block = (b, t, middle, carrier)
+        up = [0] * n
+        up[b], up[t] = (1 << n) - 1, 1 << t
+        for q in middles:
+            for e, row in zip(middle, q._up):
+                up[e] = carrier[row]
+            p = cls.__new__(cls)
+            p.n, p._up, p.labels, p._block, p._middle = n, tuple(up), None, block, q
+            yield p
 
     @_cached
     def bottom(self) -> int:

@@ -18,7 +18,6 @@ from . import checkers
 from .errors import ArgumentError, BudgetError, NotDirectedError, UnknownTheoremError
 from .lattice import (
     LambdaLattice,
-    _completion_rows,
     acute,
     convex_closed_subsets,  # noqa: F401  (bench/tracing.py rebinds search.convex_closed_subsets)
     from_choice,  # noqa: F401  (bench/tracing.py rebinds search.from_choice)
@@ -27,7 +26,7 @@ from .lattice import (
     is_modular,
     is_monotone,
 )
-from .poset import Poset, _bits, _BoundedPoset
+from .poset import Poset, _bits, _BoundedPoset, _completion_rows
 from .verdict import HOLDS, Verdict
 
 # the largest carrier a stream accepts, and the one bound on a run's work: at
@@ -178,9 +177,9 @@ def _walk(n: int) -> Iterator[tuple[list[tuple[int, ...]], list[int | None]]]:
     return iter((([(1,) if n else ()], [0 if n else None]),))  # the one poset on n < 2 elements
 
 
-def _all_masks(n: int) -> Iterator[tuple[int, ...]]:
-    """Every labeled poset on n elements as up-set rows, strictly ascending, one at a time (_walk)."""
-    return chain.from_iterable(batch for batch, _ in _walk(n))
+def _labeled_posets(n: int) -> Iterator[Poset]:
+    """Every labeled poset on n elements, ascending, each built once from _walk with its top."""
+    return chain.from_iterable(map(Poset._with_top, repeat(n), b, tops) for b, tops in _walk(n))
 
 
 def _canonical_masks() -> Iterator[list[tuple[int, ...]]]:
@@ -201,29 +200,6 @@ def _canonical_masks() -> Iterator[list[tuple[int, ...]]]:
                     rows = [row | new if d >> i & 1 else row for i, row in enumerate(up)]
                     children.add(Poset._from_masks(n, (*rows, new))._canonical[0])
         forms = sorted(children)
-
-
-def _block_posets(n: int, b: int, t: int, middles: Iterable[Poset]) -> Iterator[_BoundedPoset]:
-    """Bounded posets with bottom b and top t, one per middle poset, in middle order.
-
-    A bounded labeled poset on n > 1 elements decomposes uniquely into a
-    bottom, a top and an arbitrary poset on the remaining labels, its
-    middle. carrier[m] is the carrier row of a middle row m: the top plus
-    the labels that m selects by middle position. It is increasing in m,
-    so with the bottom and top rows fixed the rows ascend with the middles.
-    """
-    middle = [e for e in range(n) if e not in (b, t)]
-    carrier = [1 << t] * (1 << (n - 2))
-    for m in range(1, len(carrier)):
-        low = m & -m
-        carrier[m] = carrier[m ^ low] | 1 << middle[low.bit_length() - 1]
-    block = (b, t, middle, carrier)
-    up = [0] * n
-    up[b], up[t] = (1 << n) - 1, 1 << t
-    for q in middles:
-        for e, row in zip(middle, q._up):
-            up[e] = carrier[row]
-        yield _BoundedPoset._from_block(n, tuple(up), block, q)
 
 
 def _merge_runs(streams: Iterable[Iterator]) -> Iterator:
@@ -270,11 +246,11 @@ def _bounded_posets(n: int, canonical_middles: list | None = None) -> Iterator[P
     """
     if n == 1:
         return iter((Poset._from_masks(1, (1,)),))
+    blocks = _BoundedPoset._block_posets
     if canonical_middles is not None:
-        middles = map(Poset._from_masks, repeat(n - 2), canonical_middles)
-        return _block_posets(n, 0, n - 1, middles)
-    middles = [Poset._from_masks(n - 2, up) for up in _all_masks(n - 2)]
-    return _merge_runs([_block_posets(n, b, t, middles) for b, t in permutations(range(n), 2)])
+        return blocks(n, 0, n - 1, map(Poset._from_masks, repeat(n - 2), canonical_middles))
+    middles = list(_labeled_posets(n - 2))
+    return _merge_runs([blocks(n, b, t, middles) for b, t in permutations(range(n), 2)])
 
 
 def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:
@@ -303,8 +279,7 @@ def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:
         elif f.canonical_only:
             yield from map(Poset._from_masks, repeat(n), next(forms))
         else:
-            for batch, tops in _walk(n):
-                yield from map(Poset._with_top, repeat(n), batch, tops)
+            yield from _labeled_posets(n)
 
 
 def _bound_options(p: Poset, pairs) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
@@ -333,10 +308,11 @@ def enumerate_completions(p: Poset) -> Iterator[LambdaLattice]:
     tuples with more than one option, the last turning fastest. The loop
     that reads each pair's options writes the first completion's cells.
     A step writes only the cells of the wheels that turned into the list
-    rows of _completion_rows and re-freezes only the rows holding them;
+    rows of poset._completion_rows, the pass that also stores p's
+    incomparability facts, and re-freezes only the rows holding them;
     every other row is the previous completion's tuple, and a table none
     of whose rows changed is the previous table. Rows without
-    incomparable cells are the shared _base_row tuples.
+    incomparable cells are the shared poset._base_row tuples.
     """
     jt, mt, pairs = _completion_rows(p)
     frozen = ([], [])  # each table's current row tuples, filled below

@@ -1,6 +1,9 @@
+from itertools import chain
+
 import pytest
 
 from lamlat import EnumerationFilter, catalog, enumerate_completions, enumerate_posets, verify
+from lamlat.search import _walk
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +53,8 @@ def default_run():
 def idx(instance, name):
     """Element index by display label."""
     return instance.labels.index(name)
+
+
+def labeled_rows(n):
+    """Every labeled poset on n elements as bare up-set rows, in stream order."""
+    return chain.from_iterable(batch for batch, _ in _walk(n))

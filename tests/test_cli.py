@@ -271,3 +271,20 @@ def test_python_dash_m_runs_the_cli():
     bad = run("enumerate", "--n", "0")
     assert bad.returncode == 2
     assert bad.stderr.startswith("error:")
+
+
+def test_size_help_names_the_stream_guards(capsys, monkeypatch):
+    # the help strings read search's guards, so lifting one is one constant edit
+    from lamlat.search import HARD_MAX_CANONICAL, HARD_MAX_ELEMENTS
+
+    def help_text(command):
+        assert main([command, "--help"]) == 0
+        return " ".join(capsys.readouterr().out.split())
+
+    assert f"at most {HARD_MAX_ELEMENTS}" in help_text("verify")
+    assert (f"at most {HARD_MAX_ELEMENTS}, or {HARD_MAX_CANONICAL} with --canonical"
+            in help_text("enumerate"))
+    monkeypatch.setattr(lamlat.cli, "HARD_MAX_ELEMENTS", 11)
+    monkeypatch.setattr(lamlat.cli, "HARD_MAX_CANONICAL", 12)
+    assert "at most 11" in help_text("verify")
+    assert "at most 11, or 12 with --canonical" in help_text("enumerate")

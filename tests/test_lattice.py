@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from lamlat import (
     mk_poset,
 )
 from lamlat.fixtures import FIXTURE_NAMES, fixture, fixture_poset
-from lamlat.lattice import _base_row, _completion_rows
+from lamlat.poset import _base_row, _completion_rows
 from lamlat.verdict import HOLDS
 
 from oracles import (
@@ -121,6 +122,27 @@ def test_check_axioms_commutativity_witness():
 def test_check_axioms_range_error():
     with pytest.raises(RangeError):
         check_axioms([[0, 5], [5, 1]], [[0, 0], [0, 1]])
+
+
+def _boolean_tables_with_join_12(v):
+    ll = from_choice(mk_poset(2))
+    join = [list(row) for row in ll.join_table]
+    join[1][2] = join[2][1] = v
+    return join, ll.meet_table
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda: from_choice(mk_poset(2), ChoiceSpec(joins={(1, 2): 3.9})), 3.9),
+    (lambda: from_choice(mk_poset(2), ChoiceSpec(joins={(1, 2): "3"})), "3"),
+    (lambda: from_choice(mk_poset(2), ChoiceSpec(meets={(1, 2): True})), True),
+    (lambda: from_choice(mk_poset(2), ChoiceSpec(joins={(1.0, 2): 3})), 1.0),
+    (lambda: LambdaLattice(mk_poset(2), *_boolean_tables_with_join_12(3.7)), 3.7),
+    (lambda: check_axioms([[0, 1.5], [1, 1]], [[0, 0], [0, 1]]), 1.5),
+], ids=["float-pick", "str-pick", "bool-pick", "float-pair", "float-table-entry", "float-axiom-entry"])
+def test_non_integer_element_values_are_rejected_not_coerced(build, value):
+    # int() used to read 3.9 as 3, "3" as 3 and True as 1
+    with pytest.raises(RangeError, match=re.escape(repr(value))):
+        build()
 
 
 def random_table(rng, n):

@@ -19,10 +19,10 @@ from lamlat import (
     mk_poset,
 )
 from lamlat.fixtures import FIXTURE_NAMES, fixture_poset
-from lamlat.lattice import _completion_rows
-from lamlat.poset import _bits, _BoundedPoset
-from lamlat.search import THEOREMS, _all_masks, _bounded_posets
+from lamlat.poset import _bits, _BoundedPoset, _completion_rows
+from lamlat.search import THEOREMS, _bounded_posets
 
+from conftest import labeled_rows
 from oracles import (
     _heights,
     all_labeled_posets_naive,
@@ -341,7 +341,7 @@ def test_convexity_fig2():
 def test_cover_rows_match_the_strict_list_rule_on_all_labeled_posets_at_6():
     # the cover_relation comparison below stops at 5 elements
     count = 0
-    for up in _all_masks(6):
+    for up in labeled_rows(6):
         assert Poset._from_masks(6, up)._covers_above == covers_above_strict(up), up
         count += 1
     assert count == 130023
@@ -433,7 +433,7 @@ def test_least_relabelings_count_classes_like_is_canonical_up_to_5():
     # on, and those rows list the elements by ascending (down-set size,
     # up-set size)
     for n, classes in zip(range(1, 6), (1, 2, 5, 16, 63)):
-        posets = [Poset._from_masks(n, up) for up in _all_masks(n)]
+        posets = [Poset._from_masks(n, up) for up in labeled_rows(n)]
         assert len({p._canonical[0] for p in posets}) == classes
         assert sum(p._canonical[0] == p._up for p in posets) == classes
         for p in posets:

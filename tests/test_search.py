@@ -29,11 +29,12 @@ from lamlat import (
     verify,
     violates,
 )
-from lamlat import checkers, search
+from lamlat import checkers, lattice, poset, search
 from lamlat.fixtures import fixture, fixture_poset
-from lamlat.poset import _BoundedPoset, _cached, _validate_order
-from lamlat.search import THEOREMS, _all_masks, _bounded_posets, _canonical_masks, _merge_runs
+from lamlat.poset import _BoundedPoset, _validate_order
+from lamlat.search import THEOREMS, _bounded_posets, _canonical_masks, _merge_runs
 
+from conftest import labeled_rows
 from oracles import (
     all_labeled_posets_naive,
     convex_closed_subsets_naive,
@@ -74,7 +75,7 @@ def test_bounded_filter_matches_naive_oracle():
 
 
 def test_labeled_streams_at_six_are_valid_sorted_and_decompose():
-    rows = tuple(_all_masks(6))
+    rows = tuple(labeled_rows(6))
     assert len(rows) == 130023  # A001035
     assert all(a < b for a, b in zip(rows, rows[1:]))  # strictly ascending, hence distinct
     for up in rows:
@@ -84,7 +85,7 @@ def test_labeled_streams_at_six_are_valid_sorted_and_decompose():
     for n, count in ((5, 380), (6, 6570)):
         full = (1 << n) - 1
         expected = tuple(
-            up for up in _all_masks(n)
+            up for up in labeled_rows(n)
             if full in up and any(all(row >> t & 1 for row in up) for t in range(n))
         )
         assert len(expected) == count
@@ -99,7 +100,7 @@ LABELED_UPTO6_SHA256 = "9879166e88fd7dbfbc7d8bde40dced5b797de90fce79733821454423
 def test_labeled_stream_up_to_six_is_pinned():
     digest, count = hashlib.sha256(), 0
     for n in range(1, 7):
-        for up in _all_masks(n):
+        for up in labeled_rows(n):
             digest.update(bytes((n, *up)))
             count += 1
     assert count == 134496
@@ -113,12 +114,12 @@ def test_labeled_stream_stores_each_top_from_the_walk():
     n, rows = 0, []
     for p in enumerate_posets(EnumerationFilter(max_elements=6)):
         if p.n != n:
-            assert rows == [] or rows == list(_all_masks(n))
+            assert rows == [] or rows == list(labeled_rows(n))
             n, rows = p.n, []
         assert "top" in vars(p)
         assert p.top == Poset._from_masks(p.n, p._up).top, p
         rows.append(p._up)
-    assert n == 6 and rows == list(_all_masks(6))
+    assert n == 6 and rows == list(labeled_rows(6))
     for p in enumerate_posets(EnumerationFilter(max_elements=5, require_bounded=True)):
         assert type(p) is _BoundedPoset or p.n == 1
         assert "top" not in vars(p)
@@ -132,13 +133,13 @@ def test_labeled_stream_stores_each_top_from_the_walk():
 
 
 def test_labeled_walk_matches_sorted_naive_oracle_up_to_4():
-    assert tuple(_all_masks(0)) == ((),)
+    assert tuple(labeled_rows(0)) == ((),)
     for n in range(1, 5):
         expected = sorted(
             tuple(sum(1 << j for j in range(n) if (i, j) in rel) for i in range(n))
             for rel in all_labeled_posets_naive(n)
         )
-        assert list(_all_masks(n)) == expected
+        assert list(labeled_rows(n)) == expected
 
 
 def test_labeled_walk_at_seven_streams_without_holding_rows():
@@ -147,7 +148,7 @@ def test_labeled_walk_at_seven_streams_without_holding_rows():
     tracemalloc.start()
     try:
         last = ()
-        for up in islice(_all_masks(7), 50_000):
+        for up in islice(labeled_rows(7), 50_000):
             assert up > last
             _validate_order(7, up)
             last = up
@@ -199,15 +200,17 @@ def test_bounded_stream_up_to_seven_is_sorted_bounded_and_pinned(bounded_upto6):
 
 def test_bounded_stream_builds_lazily(monkeypatch):
     # the first poset of a size is taken after at most one poset per
-    # (bottom, top) block has been built
+    # (bottom, top) block has been built; a block builds each poset just
+    # before it yields it
     built = []
-    from_block = _BoundedPoset._from_block
+    block_posets = _BoundedPoset._block_posets
 
-    def counting(*args):
-        built.append(args[2][:2])  # (bottom, top) of the block
-        return from_block(*args)
+    def counting(n, b, t, middles):
+        for p in block_posets(n, b, t, middles):
+            built.append((b, t))
+            yield p
 
-    monkeypatch.setattr(_BoundedPoset, "_from_block", counting)
+    monkeypatch.setattr(_BoundedPoset, "_block_posets", counting)
     stream = _bounded_posets(7)
     assert built == []
     first = next(stream)
@@ -262,7 +265,7 @@ def test_canonical_masks_are_one_form_per_class():
             if n <= 6:
                 completions += sum(k * completion_count(p) for k, p in bounded)
         if n <= 5:
-            assert forms == [r for r in _all_masks(n) if Poset._from_masks(n, r)._canonical[0] == r]
+            assert forms == [r for r in labeled_rows(n) if Poset._from_masks(n, r)._canonical[0] == r]
     assert completions == 19955
 
 
@@ -601,49 +604,36 @@ def test_held_counterexamples_keep_only_their_instance(theorem_id):
         assert not hasattr(ce.lattice, "__dict__")
 
 
-def test_a_lattice_run_computes_each_streamed_posets_pairs_once(monkeypatch):
-    # the completion pass's pairs are the poset's incomparable_pairs, so
-    # is_lattice in MONO's conclusion does not build them again
-    computed = Counter()
-    rows, pairs = search._completion_rows, Poset.incomparable_pairs
-
-    def counted_rows(p):
-        computed[p] += 1
-        return rows(p)
-
-    def counted_pairs(p):
-        computed[p] += 1
-        return pairs.func(p)
-
-    counted = _cached(counted_pairs)
-    counted.__set_name__(Poset, "incomparable_pairs")
-    monkeypatch.setattr(search, "_completion_rows", counted_rows)
-    monkeypatch.setattr(Poset, "incomparable_pairs", counted)
-    r = verify("MONO", EnumerationFilter(max_elements=5))
-    assert (r.posets_checked, r.lattices_checked) == (425, 545)
-    assert len(computed) == 425 and set(computed.values()) == {1}
-
-
 @pytest.mark.parametrize("theorem_id", ["MONO", "TH1"])
 def test_a_lattice_run_reads_incomparability_only_from_the_completion_pass(monkeypatch, theorem_id):
-    # the completion pass stores each streamed poset's incomparable mask and
-    # cells, so the generic Poset definitions never run during a lattice run:
-    # not for a streamed poset, and not for the middles they are built from
-    ran = []
-    for name in ("_incomparable", "_incomparable_cells"):
-        def counted(p, generic=getattr(Poset, name).func):
-            ran.append(p)
-            return generic(p)
+    # the completion pass is the one definition of the incomparable mask,
+    # cells and pairs, and the Poset properties only run it: a lattice run
+    # runs it once per streamed poset (so is_lattice in MONO's conclusion
+    # builds no pairs again), and never for the middles the posets are
+    # built from; a plain read runs it once for all three facts
+    ran, stored = [], {}
+    facts = {"_incomparable": (0, 4, 2, 0), "_incomparable_cells": ((1, 2), (2, 1)),
+             "incomparable_pairs": ((1, 2),)}
 
-        descriptor = _cached(counted)
-        descriptor.__set_name__(Poset, name)
-        monkeypatch.setattr(Poset, name, descriptor)
+    def counted(p, rows=poset._completion_rows):
+        ran.append(p)
+        out = rows(p)
+        stored.update((name, vars(p)[name]) for name in facts)
+        return out
+
+    for module in (poset, lattice, search):
+        monkeypatch.setattr(module, "_completion_rows", counted)
     r = verify(theorem_id, EnumerationFilter(max_elements=5))
     assert (r.posets_checked, r.lattices_checked) == (425, 545)
-    assert ran == []
-    p = mk_poset(2)  # outside the stream the generic definitions still answer
+    assert len(ran) == len({id(p) for p in ran}) == 425  # ran holds them, so no id is reused
+    assert all(type(p) is _BoundedPoset or p.n == 1 for p in ran)
+    for name, fact in facts.items():  # each property, read first, returns what the pass stored
+        ran.clear()
+        p = mk_poset(2)
+        assert getattr(p, name) is stored[name] and ran == [p], name
+        assert stored[name] == fact
     assert (p._incomparable, p._incomparable_cells) == ((0, 4, 2, 0), ((1, 2), (2, 1)))
-    assert ran == [p, p]
+    assert ran == [p]
 
 
 def test_verify_reports_least_counterexample():
