@@ -14,11 +14,11 @@ from pathlib import Path
 
 from .checkers import classify
 from .dot import export_dot
-from .errors import ArgumentError, BudgetError, LamlatError
+from .errors import BudgetError, LamlatError
 from .fixtures import FIXTURE_NAMES, fixture
 from .instances import parse_instance, render_instance
 from .lattice import LambdaLattice
-from .poset import Poset
+from .poset import Poset, _check_size
 from .report import build_report, render_text
 from .search import EnumerationFilter, enumerate_posets, verify
 from .search import HARD_MAX_CANONICAL, HARD_MAX_ELEMENTS  # the size guards the help names
@@ -122,17 +122,10 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _size(value: int, flag: str) -> int:
-    """A carrier size from the command line, named by its flag when below 1."""
-    if value < 1:
-        raise ArgumentError(f"{flag} must be at least 1")
-    return value
-
-
 def _cmd_verify(args) -> int:
     flt = None
     if args.max_n is not None:
-        flt = EnumerationFilter(max_elements=_size(args.max_n, "--max-n"))
+        flt = EnumerationFilter(max_elements=_check_size(args.max_n, "--max-n must be at least 1"))
     result = verify(args.theorem, flt)
     lines = [
         f"theorem: {result.theorem_id}",
@@ -159,7 +152,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     flt = EnumerationFilter(
-        max_elements=_size(args.n, "--n"),
+        max_elements=_check_size(args.n, "--n must be at least 1"),
         require_bounded=args.bounded,
         canonical_only=args.canonical,
     )

@@ -6,7 +6,7 @@ class LamlatError(Exception):
 
 
 class ArgumentError(LamlatError, ValueError):
-    """An argument is malformed: a size below its allowed minimum,
+    """An argument is malformed: a size that is not an int or is below 1,
     an empty poset or restriction, labels that are not one distinct token
     per element, a relabeling that is not a permutation, a choice spec with
     a same-element or conflicting pair, operation tables that are empty,

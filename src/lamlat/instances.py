@@ -34,8 +34,9 @@ def _tokens(line: str) -> list[tuple[str, int]]:
 def parse_instance(text: str) -> Poset | LambdaLattice:
     """Parse instance text; see the module docstring for the grammar."""
     elements: list[str] | None = None
-    covers: list[tuple[str, str, int, int]] = []
-    assignments: list[tuple[str, str, str, str, int, int]] = []
+    # each name is kept with its column: (name, column) tokens
+    covers: list[tuple[tuple[str, int], tuple[str, int], int]] = []
+    assignments: list[tuple[str, tuple[str, int], tuple[str, int], tuple[str, int], int]] = []
     directives: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -57,16 +58,14 @@ def parse_instance(text: str) -> Poset | LambdaLattice:
             if not rest or len(rest) % 3:
                 raise ParseError("covers: expects groups of '<a> < <b>'", lineno, col)
             for i in range(0, len(rest), 3):
-                (a, ca), (op, co), (b, _) = rest[i:i + 3]
+                a, (op, co), b = rest[i:i + 3]
                 if op != "<":
                     raise ParseError(f"expected '<', got {op!r}", lineno, co)
-                covers.append((a, b, lineno, ca))
+                covers.append((a, b, lineno))
         elif head in ("join:", "meet:"):
             if len(rest) != 4 or rest[2][0] != "=":
                 raise ParseError(f"{head} expects '<a> <b> = <c>'", lineno, col)
-            assignments.append(
-                (head[:-1], rest[0][0], rest[1][0], rest[3][0], lineno, rest[0][1])
-            )
+            assignments.append((head[:-1], rest[0], rest[1], rest[3], lineno))
         elif head in ("acute", "lattice"):
             if rest:
                 raise ParseError(f"unexpected {rest[0][0]!r} after {head!r}", lineno, rest[0][1])
@@ -78,12 +77,13 @@ def parse_instance(text: str) -> Poset | LambdaLattice:
         raise ParseError("missing elements: line", 1)
     index = {name: i for i, name in enumerate(elements)}
 
-    def resolve(name: str, lineno: int, col: int) -> int:
+    def resolve(token: tuple[str, int], lineno: int) -> int:
+        name, col = token
         if name not in index:
             raise ParseError(f"unknown element {name!r}", lineno, col)
         return index[name]
 
-    pairs = [(resolve(a, ln, c), resolve(b, ln, c)) for a, b, ln, c in covers]
+    pairs = [(resolve(a, ln), resolve(b, ln)) for a, b, ln in covers]
     poset = Poset.from_covers(len(elements), pairs, labels=tuple(elements))
 
     if not assignments and not directives:
@@ -91,9 +91,9 @@ def parse_instance(text: str) -> Poset | LambdaLattice:
 
     joins: dict[tuple[int, int], int] = {}
     meets: dict[tuple[int, int], int] = {}
-    for kind, a, b, c, lineno, col in assignments:
-        x, y = resolve(a, lineno, col), resolve(b, lineno, col)
-        v = resolve(c, lineno, col)
+    for kind, ta, tb, tc, lineno in assignments:
+        x, y, v = resolve(ta, lineno), resolve(tb, lineno), resolve(tc, lineno)
+        (a, col), b = ta, tb[0]  # a pair's own errors point at its first name
         if x == y:
             raise ParseError(f"{kind} needs two distinct elements", lineno, col)
         if not poset.incomparable(x, y):

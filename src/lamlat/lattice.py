@@ -12,7 +12,7 @@ from .errors import (
     RangeError,
     UnboundedError,
 )
-from .poset import Poset, _bits, _check_index, _completion_rows, _least, _positions
+from .poset import Poset, _bits, _check_index, _completion_rows, _is_int, _least, _positions
 from .verdict import HOLDS, DictRecord, Verdict
 
 Pair = tuple[int, int]
@@ -21,7 +21,7 @@ Pair = tuple[int, int]
 def _normalized(assignments: Mapping[Pair, int]) -> dict[Pair, int]:
     out: dict[Pair, int] = {}
     for (x, y), v in dict(assignments).items():
-        if not all(isinstance(i, int) and not isinstance(i, bool) for i in (x, y, v)):
+        if not (_is_int(x) and _is_int(y) and _is_int(v)):
             raise RangeError(f"pick ({x!r}, {y!r}) = {v!r} holds an element that is not an int")
         if x == y:
             raise ArgumentError(f"({x}, {y}) is not a pair of distinct elements")
@@ -66,8 +66,7 @@ def _table(t) -> tuple[tuple[int, ...], ...]:
         row = tuple(row)
         if len(row) != n:
             raise ArgumentError("operation table must be square")
-        for v in row:
-            _check_index(n, v)
+        _check_index(n, *row)
         rows.append(row)
     return tuple(rows)
 
@@ -167,13 +166,11 @@ class LambdaLattice:
         return self.poset.label(x)
 
     def join(self, x: int, y: int) -> int:
-        _check_index(self.n, x)
-        _check_index(self.n, y)
+        _check_index(self.n, x, y)
         return self.join_table[x][y]
 
     def meet(self, x: int, y: int) -> int:
-        _check_index(self.n, x)
-        _check_index(self.n, y)
+        _check_index(self.n, x, y)
         return self.meet_table[x][y]
 
     def choice_spec(self) -> ChoiceSpec:
@@ -190,20 +187,14 @@ class LambdaLattice:
     # ----- transformations -----
 
     def restrict(self, elements) -> "LambdaLattice":
-        """Table restriction to a subset closed under both operations.
-
-        Closure is tested on incomparable pairs only: a comparable pair's
-        join and meet are the pair itself.
-        """
+        """Table restriction to a subset closed under both operations (_closed)."""
+        elements = tuple(elements)
+        sub = self.poset.restrict(elements)  # checks the indices
         elems = sorted(set(elements))
-        sub = self.poset.restrict(elems)  # checks the indices
         pos, mask = _positions(self.n, elems)
-        inc = self.poset._incomparable
+        if not _closed(self, mask):
+            raise ArgumentError("subset is not closed under the operations")
         jt, mt = self.join_table, self.meet_table
-        for x in elems:
-            for y in _bits(inc[x] & mask):
-                if not (mask >> jt[x][y] & 1 and mask >> mt[x][y] & 1):
-                    raise ArgumentError("subset is not closed under the operations")
         # a closed subset keeps the table contract, so no validation is needed
         return LambdaLattice._from_tables(
             sub,
@@ -272,15 +263,13 @@ def _least_encoding(ll: LambdaLattice) -> tuple:
 
 def forced_join(p: Poset, x: int, y: int) -> int | None:
     """The least common upper bound, or None when there is none."""
-    _check_index(p.n, x)
-    _check_index(p.n, y)
+    _check_index(p.n, x, y)
     return _least(p._up[x] & p._up[y], p._up)
 
 
 def forced_meet(p: Poset, x: int, y: int) -> int | None:
     """The greatest common lower bound, or None when there is none."""
-    _check_index(p.n, x)
-    _check_index(p.n, y)
+    _check_index(p.n, x, y)
     return _least(p._down[x] & p._down[y], p._down)
 
 
@@ -455,24 +444,29 @@ def is_distributive(ll: LambdaLattice) -> bool:
     return True
 
 
+def _closed(ll: LambdaLattice, mask: int) -> bool:
+    """mask holds the join and meet of each incomparable pair it holds.
+
+    Only incomparable pairs are tested: a comparable pair's join and meet
+    are the pair itself.
+    """
+    inc, jt, mt = ll.poset._incomparable, ll.join_table, ll.meet_table
+    for x in _bits(mask):
+        for y in _bits(inc[x] & mask):
+            if not (mask >> jt[x][y] & 1 and mask >> mt[x][y] & 1):
+                return False
+    return True
+
+
 def convex_closed_subsets(ll: LambdaLattice) -> Iterator[frozenset[int]]:
     """Nonempty convex subsets closed under both tables, ascending by bitmask.
 
     Each mask from 1 to 2^n - 1 is tried in turn; convexity is
-    Poset.is_convex. Closure is tested on incomparable pairs only: a
-    comparable pair's join and meet are the pair itself. Each yielded
-    subset induces a lambda-lattice via LambdaLattice.restrict. Cost
-    grows as 2^n; intended for n <= 12.
+    Poset.is_convex and closure _closed. Each yielded subset induces a
+    lambda-lattice via LambdaLattice.restrict. Cost grows as 2^n;
+    intended for n <= 12.
     """
     p = ll.poset
-    jt, mt = ll.join_table, ll.meet_table
-    pairs = p.incomparable_pairs
     for mask in range(1, 1 << p.n):
-        if not p.is_convex(_bits(mask)):
-            continue
-        for x, y in pairs:
-            if (mask >> x & 1 and mask >> y & 1
-                    and not (mask >> jt[x][y] & 1 and mask >> mt[x][y] & 1)):
-                break
-        else:
+        if p.is_convex(_bits(mask)) and _closed(ll, mask):
             yield frozenset(_bits(mask))

@@ -45,9 +45,24 @@ def _bits(mask: int) -> tuple[int, ...]:
     return _BYTE_BITS[mask] if mask < 256 else _bits_of(mask)
 
 
-def _check_index(n: int, x) -> None:
-    if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
-        raise RangeError(f"element index {x!r} out of range 0..{n - 1}")
+def _is_int(v) -> bool:
+    """The one test for an index, a size or a permutation entry: an int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_index(n: int, *xs) -> None:
+    for x in xs:
+        if not _is_int(x) or not 0 <= x < n:
+            raise RangeError(f"element index {x!r} out of range 0..{n - 1}")
+
+
+def _check_size(value, message: str) -> int:
+    """value, if it is an int of at least 1; message is the error for a smaller int."""
+    if not _is_int(value):
+        raise ArgumentError(f"a size must be an int, not {value!r}")
+    if value < 1:
+        raise ArgumentError(message)
+    return value
 
 
 def _least(bounds: int, toward: Sequence[int]) -> int | None:
@@ -167,12 +182,10 @@ class Poset:
     def from_covers(cls, n: int, covers: Iterable[tuple[int, int]],
                     labels: Sequence[str] | None = None) -> "Poset":
         """Reflexive-transitive closure of a cover list; rejects cyclic input."""
-        if n < 1:
-            raise ArgumentError("a poset needs at least one element")
+        _check_size(n, "a poset needs at least one element")
         up = [1 << i for i in range(n)]
         for a, b in covers:
-            _check_index(n, a)
-            _check_index(n, b)
+            _check_index(n, a, b)
             if a == b:
                 raise CycleError(f"self-cover on element {a}")
             up[a] |= 1 << b
@@ -186,8 +199,7 @@ class Poset:
     # ----- relation queries -----
 
     def leq(self, x: int, y: int) -> bool:
-        _check_index(self.n, x)
-        _check_index(self.n, y)
+        _check_index(self.n, x, y)
         return bool(self._up[x] >> y & 1)
 
     def lt(self, x: int, y: int) -> bool:
@@ -219,14 +231,12 @@ class Poset:
 
     def upper_bounds(self, x: int, y: int) -> frozenset[int]:
         """Common upper bounds of x and y."""
-        _check_index(self.n, x)
-        _check_index(self.n, y)
+        _check_index(self.n, x, y)
         return frozenset(_bits(self._up[x] & self._up[y]))
 
     def lower_bounds(self, x: int, y: int) -> frozenset[int]:
         """Common lower bounds of x and y."""
-        _check_index(self.n, x)
-        _check_index(self.n, y)
+        _check_index(self.n, x, y)
         return frozenset(_bits(self._down[x] & self._down[y]))
 
     def is_directed(self) -> bool:
@@ -287,8 +297,7 @@ class Poset:
 
     def is_cover(self, x: int, y: int) -> bool:
         """True iff y covers x."""
-        _check_index(self.n, x)
-        _check_index(self.n, y)
+        _check_index(self.n, x, y)
         return bool(self._covers_above[x] >> y & 1)
 
     # ----- heights and chains -----
@@ -433,7 +442,7 @@ class Poset:
     def relabel(self, perm: Sequence[int]) -> "Poset":
         """Image under old-index -> new-index permutation; labels move along."""
         n = self.n
-        if sorted(perm) != list(range(n)):
+        if not all(map(_is_int, perm)) or sorted(perm) != list(range(n)):
             raise ArgumentError("not a permutation of the carrier")
         up = _permuted(self._up, perm)
         labels = None
@@ -446,11 +455,11 @@ class Poset:
 
     def restrict(self, elements: Iterable[int]) -> "Poset":
         """Induced sub-order, reindexed over the sorted element list."""
+        elements = tuple(elements)
+        _check_index(self.n, *elements)  # before the set, where True would fold into 1
         elems = sorted(set(elements))
         if not elems:
             raise ArgumentError("a restriction needs at least one element")
-        for x in elems:
-            _check_index(self.n, x)
         pos, mask = _positions(self.n, elems)
         up = []
         for e in elems:
@@ -626,9 +635,7 @@ class _BoundedPoset(Poset):
 
 def mk_poset(k: int, labels: Sequence[str] | None = None) -> Poset:
     """Bounded poset of length two: bottom, a k-element antichain, top."""
-    if k < 1:
-        raise ArgumentError("antichain size must be at least 1")
-    n = k + 2
+    n = _check_size(k, "antichain size must be at least 1") + 2
     covers = [(0, i) for i in range(1, k + 1)] + [(i, n - 1) for i in range(1, k + 1)]
     if labels is None:
         labels = ("0", *(f"m{i}" for i in range(1, k + 1)), "1")

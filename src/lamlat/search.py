@@ -26,7 +26,7 @@ from .lattice import (
     is_modular,
     is_monotone,
 )
-from .poset import Poset, _bits, _BoundedPoset, _completion_rows
+from .poset import Poset, _bits, _BoundedPoset, _check_size, _completion_rows
 from .verdict import HOLDS, Verdict
 
 # the largest carrier a stream accepts, and the one bound on a run's work: at
@@ -51,8 +51,7 @@ class EnumerationFilter:
     canonical_only: bool = False
 
     def __post_init__(self):
-        if self.max_elements < 1:
-            raise ArgumentError("max_elements must be at least 1")
+        _check_size(self.max_elements, "max_elements must be at least 1")
 
 
 # ----- labeled poset generation -----
@@ -547,7 +546,7 @@ _register(Theorem(
 
 
 def _lookup(theorem_id: str) -> Theorem:
-    th = THEOREMS.get(theorem_id.upper())
+    th = THEOREMS.get(theorem_id.upper()) if isinstance(theorem_id, str) else None
     if th is None:
         known = ", ".join(sorted(THEOREMS))
         raise UnknownTheoremError(f"unknown theorem id {theorem_id!r}; known ids: {known}")

@@ -104,6 +104,18 @@ def test_parse_unknown_element():
     assert "z" in str(err.value)
 
 
+@pytest.mark.parametrize("line, name", [
+    ("covers: a < zz", "zz"),  # the right-hand name of a cover group
+    ("covers: zz < a", "zz"),
+    ("join: b c = qq", "qq"),  # the value of an assignment
+    ("meet: b qq = c", "qq"),  # the second name of its pair
+])
+def test_an_unknown_element_is_reported_at_its_own_column(line, name):
+    with pytest.raises(ParseError, match=f"unknown element '{name}'") as err:
+        parse_instance(f"elements: a b c\n{line}\n")
+    assert (err.value.line, err.value.column) == (2, line.index(name) + 1)
+
+
 def test_parse_duplicate_assignment():
     text = FIG3_TEXT + "join: b a = d\n"
     with pytest.raises(ParseError) as err:

@@ -386,9 +386,10 @@ def test_restrict_requires_meet_closure_too():
 
 def test_restrict_and_forced_bounds_reject_bad_indices():
     ll = fixture("FIG3")
-    for subset in ([6], [-1], [0, 6]):
-        with pytest.raises(RangeError):
-            ll.restrict(subset)
+    for subset in ([6], [-1], [0, 6], [0, "a"], [1, True]):
+        for restrict in (ll.restrict, ll.poset.restrict):
+            with pytest.raises(RangeError):
+                restrict(subset)
     for forced in (forced_join, forced_meet):
         for x, y in ((-1, 0), (6, 0), (0, -1), (0, 6)):
             with pytest.raises(RangeError):

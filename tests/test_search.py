@@ -30,6 +30,7 @@ from lamlat import (
     violates,
 )
 from lamlat import checkers, lattice, poset, search
+from lamlat.cli import main
 from lamlat.fixtures import fixture, fixture_poset
 from lamlat.poset import _BoundedPoset, _validate_order
 from lamlat.search import THEOREMS, _bounded_posets, _canonical_masks, _merge_runs
@@ -543,6 +544,16 @@ def test_verify_unknown_id():
 
 
 @pytest.mark.parametrize("call", [
+    lambda: verify(3),
+    lambda: verify(b"TH1"),
+    lambda: violates(None, mk_poset(2)),
+])
+def test_a_theorem_id_that_is_not_a_str_is_unknown(call):
+    with pytest.raises(UnknownTheoremError, match="unknown theorem id"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
     lambda: EnumerationFilter(max_elements=0),
 ])
 def test_sizes_and_budgets_below_one_rejected(call):
@@ -562,6 +573,8 @@ def test_sizes_and_budgets_below_one_rejected(call):
     (lambda: LambdaLattice(Poset([[1, 1], [0, 1]]), [[0]], [[0]]),
      "operation tables must be n x n"),
     (lambda: mk_poset(2).relabel([0, 0, 1, 2]), "not a permutation of the carrier"),
+    (lambda: mk_poset(2).relabel([0.0, 1, 2, 3]), "not a permutation of the carrier"),
+    (lambda: mk_poset(2).relabel([True, 0, 2, 3]), "not a permutation of the carrier"),
     (lambda: mk_poset(2).restrict([]), "a restriction needs at least one element"),
     (lambda: mk_poset(0), "antichain size must be at least 1"),
     (lambda: ChoiceSpec(joins={(1, 1): 3}), "(1, 1) is not a pair of distinct elements"),
@@ -576,6 +589,33 @@ def test_malformed_posets_labels_and_tables_raise_argument_error(call, message):
         call()
     assert isinstance(err.value, LamlatError) and isinstance(err.value, ValueError)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "3", 0])
+@pytest.mark.parametrize("caller, below_one", [
+    (mk_poset, "antichain size must be at least 1"),
+    (lambda k: Poset.from_covers(k, []), "a poset needs at least one element"),
+    (lambda k: EnumerationFilter(max_elements=k), "max_elements must be at least 1"),
+    ("--n", "--n must be at least 1"),
+    ("--max-n", "--max-n must be at least 1"),
+], ids=["mk_poset", "from_covers", "EnumerationFilter", "enumerate --n", "verify --max-n"])
+def test_a_size_is_an_int_of_at_least_one(capsys, caller, below_one, value):
+    # poset._check_size is the one rule: a bool, a float or a str is not a
+    # size, and an int below one keeps its caller's message
+    if callable(caller):
+        with pytest.raises(ArgumentError) as err:
+            caller(value)
+        assert str(err.value) == (below_one if value == 0 else f"a size must be an int, not {value!r}")
+        return
+    # the command line reads its text as an int first: "True" and "2.5" fail there, "3" is 3
+    argv = ["enumerate", "--count-only"] if caller == "--n" else ["verify", "TH1"]
+    code = main([*argv, caller, str(value)])
+    err = capsys.readouterr().err
+    if value == "3":
+        assert (code, err) == (0, "")
+    else:
+        assert code == 2
+        assert (f"error: {below_one}" if value == 0 else f"invalid int value: '{value}'") in err
 
 
 def test_mutant_chains_no_lu_finds_counterexample():
