@@ -20,31 +20,25 @@ from .verdict import HOLDS, DictRecord, Verdict
 _DCC = Verdict(True, note="finite carrier: every descending chain terminates")
 
 
-def _semimodular_frames(ll: LambdaLattice):
-    """(x, y, between, ucands) for every x || y with some z strictly between x^y and x.
-
-    between is the mask of those z; ucands are the u with x^y < u <= y.
-    """
-    p = ll.poset
-    up, down = p._up, p._down
-    mt = ll.meet_table
-    for x, y in p._incomparable_cells:
-        m = mt[x][y]
-        between = up[m] & down[x] & ~(1 << m) & ~(1 << x)
-        if between:
-            yield x, y, between, _bits(up[m] & down[y] & ~(1 << m))
-
-
 def is_semimodular(ll: LambdaLattice) -> Verdict:
     """For x || y and x^y < z < x, some u with x^y < u <= y has (z v u) ^ x = z.
 
-    A failing verdict carries the least triple (x, y, z) for which no
-    such u exists.
+    Each cell's frame masks are computed in the loop: between, the z
+    strictly between x^y and x, and, when it is nonempty, the u
+    candidates x^y < u <= y. A failing verdict carries the least triple
+    (x, y, z) for which no such u exists.
     """
+    p = ll.poset
+    up, down = p._up, p._down
     jt, mt = ll.join_table, ll.meet_table
-    for x, y, between, ucands in _semimodular_frames(ll):
+    for x, y in p._incomparable_cells:
+        m = mt[x][y]
+        between = up[m] & down[x] & ~(1 << m | 1 << x)
+        if not between:
+            continue
+        us = _bits(up[m] & down[y] & ~(1 << m))
         for z in _bits(between):
-            for u in ucands:
+            for u in us:
                 if mt[jt[z][u]][x] == z:
                     break
             else:
@@ -57,12 +51,19 @@ def lemma1_refutes(ll: LambdaLattice) -> tuple[int, int, int, int] | None:
 
     Requires x || y, two distinct elements c, d strictly between x^y and
     x, and c v e = d v f for every e, f with x^y < e, f <= y. A returned
-    quadruple implies is_semimodular() fails.
+    quadruple implies is_semimodular() fails. Each cell's frame masks
+    are is_semimodular's, computed in the loop: between holds the c and
+    d, and the e candidates are its u candidates.
     """
-    jt = ll.join_table
-    for x, y, between, es in _semimodular_frames(ll):
+    p = ll.poset
+    up, down = p._up, p._down
+    jt, mt = ll.join_table, ll.meet_table
+    for x, y in p._incomparable_cells:
+        m = mt[x][y]
+        between = up[m] & down[x] & ~(1 << m | 1 << x)
         if between.bit_count() < 2:
             continue
+        es = _bits(up[m] & down[y] & ~(1 << m))
         cs = _bits(between)
         for c in cs:
             joins_c = {jt[c][e] for e in es}

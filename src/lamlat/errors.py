@@ -11,7 +11,8 @@ class ArgumentError(LamlatError, ValueError):
     per element, a relabeling that is not a permutation, a choice spec with
     a same-element or conflicting pair, operation tables that are empty,
     not square, of the wrong size or asymmetric, a subset not closed under
-    the operations, or nothing to classify."""
+    the operations, an enumeration flag that is not a bool, or nothing to
+    classify."""
 
 
 class RangeError(LamlatError):
@@ -19,7 +20,8 @@ class RangeError(LamlatError):
 
 
 class InvalidOrderError(LamlatError):
-    """A relation matrix is not reflexive, antisymmetric and transitive."""
+    """A relation matrix is not square, holds an entry other than 0, 1 or a
+    bool, or is not reflexive, antisymmetric and transitive."""
 
 
 class CycleError(InvalidOrderError):

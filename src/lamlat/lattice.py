@@ -368,8 +368,18 @@ def _unforced(ll: LambdaLattice) -> Iterator[tuple[str, int, int, int]]:
 
 
 def is_lattice(ll: LambdaLattice) -> bool:
-    """Join is always the least upper bound and meet the greatest lower bound."""
-    return next(_unforced(ll), None) is None
+    """Join is always the least upper bound and meet the greatest lower bound.
+
+    _unforced's rule, tested pair by pair in one loop that stops at the
+    first join or meet that is not forced.
+    """
+    p = ll.poset
+    up, down = p._up, p._down
+    jt, mt = ll.join_table, ll.meet_table
+    for x, y in p.incomparable_pairs:
+        if up[jt[x][y]] != up[x] & up[y] or down[mt[x][y]] != down[x] & down[y]:
+            return False
+    return True
 
 
 def _inner(p: Poset) -> int:

@@ -139,8 +139,9 @@ class Poset:
     """Immutable finite poset on elements 0..n-1.
 
     The relation is stored as one bitmask per element: bit j of the mask
-    for i is set iff i <= j. Labels are display metadata only; equality
-    and hashing use the order structure alone.
+    for i is set iff i <= j; a matrix entry must be 0, 1 or a bool.
+    Labels are display metadata only; equality and hashing use the order
+    structure alone.
     """
 
     def __init__(self, leq: Sequence[Sequence[object]], labels: Sequence[str] | None = None):
@@ -148,12 +149,15 @@ class Poset:
         if n == 0:
             raise ArgumentError("a poset needs at least one element")
         up = []
-        for row in leq:
+        for i, row in enumerate(leq):
             row = list(row)
             if len(row) != n:
                 raise InvalidOrderError("relation matrix must be square")
             mask = 0
             for j, v in enumerate(row):
+                if not (isinstance(v, int) and v in (0, 1)):  # bools are ints
+                    raise InvalidOrderError(
+                        f"relation matrix entry ({i}, {j}) is {v!r}, not 0, 1, True or False")
                 if v:
                     mask |= 1 << j
             up.append(mask)

@@ -43,7 +43,7 @@ class EnumerationFilter:
     (Poset._canonical).
 
     On finite carriers directedness and boundedness coincide, so
-    require_bounded alone decides both.
+    require_bounded alone decides both. Both flags must be bools.
     """
 
     max_elements: int
@@ -52,6 +52,10 @@ class EnumerationFilter:
 
     def __post_init__(self):
         _check_size(self.max_elements, "max_elements must be at least 1")
+        for name in ("require_bounded", "canonical_only"):
+            flag = getattr(self, name)
+            if not isinstance(flag, bool):
+                raise ArgumentError(f"{name} must be a bool, not {flag!r}")
 
 
 # ----- labeled poset generation -----

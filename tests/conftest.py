@@ -38,6 +38,14 @@ def bounded_upto6():
 
 
 @pytest.fixture(scope="session")
+def completions_upto6(bounded_upto6):
+    """Every completion of every bounded poset with at most 6 elements, in stream order."""
+    out = [ll for p in bounded_upto6 for ll in enumerate_completions(p)]
+    assert len(out) == 19955
+    return out
+
+
+@pytest.fixture(scope="session")
 def default_run():
     """verify(theorem_id) at the theorem's default range, run once per session."""
     results = {}

@@ -327,3 +327,18 @@ def test_checkers_match_oracles_on_small_completions_and_fixtures(fixtures, comp
             assert got == oracle(n, rel, jt, mt), (checker.__name__, ll.encoding())
             failing[checker.__name__] += got not in (None, True)  # a witness, or False
     assert all(0 < k < len(instances) for k in failing.values()), failing
+
+
+def test_is_semimodular_matches_oracle_on_every_completion_with_6_elements(completions_upto6):
+    # the n <= 5 check above, carried to the 19 410 completions at n = 6 for
+    # the checker that is the hypothesis of TH1, TH2, LEM1 and LEM2
+    instances = [ll for ll in completions_upto6 if ll.n == 6]
+    failing = 0
+    for ll in instances:
+        rel = relation_from_covers(6, ll.poset.covers)
+        got = is_semimodular(ll)
+        assert (got.witness is None) == got.holds
+        assert got.witness == semimodular_witness(6, rel, [list(r) for r in ll.join_table],
+                                                  [list(r) for r in ll.meet_table]), ll.encoding()
+        failing += not got.holds
+    assert (len(instances), failing) == (19410, 9360)

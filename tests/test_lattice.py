@@ -31,6 +31,7 @@ from lamlat import (
     mk_poset,
 )
 from lamlat.fixtures import FIXTURE_NAMES, fixture, fixture_poset
+from lamlat.lattice import _unforced
 from lamlat.poset import _base_row, _completion_rows
 from lamlat.verdict import HOLDS
 
@@ -295,12 +296,28 @@ def test_is_lattice_matches_oracle_on_fixtures(fixtures):
         assert is_lattice(ll) == _is_lattice_oracle(ll), name
 
 
-def test_is_lattice_matches_oracle_on_small_completions(completions_upto5):
+def test_is_lattice_matches_oracle_on_small_completions(completions_upto6):
+    # every completion at n <= 6: the 545 at n <= 5 and the 19 410 at n = 6
     verdicts = []
-    for ll in completions_upto5:
+    for ll in completions_upto6:
         verdicts.append(is_lattice(ll))
         assert verdicts[-1] == _is_lattice_oracle(ll), ll.encoding()
     assert 0 < verdicts.count(True) < len(verdicts)
+
+
+def test_is_lattice_agrees_with_the_unforced_picks(fixtures, completions_upto6):
+    # is_lattice tests _unforced's rule in its own loop, so the two readers
+    # of the rule must agree; pairs whose join is forced and meet is not,
+    # and the reverse, show that each side is read
+    meet_only = join_only = 0  # completions holding such a pair
+    for ll in completions_upto6 + list(fixtures.values()):
+        picks = list(_unforced(ll))
+        assert is_lattice(ll) == (not picks), ll.encoding()
+        joins = {(x, y) for op, x, y, _ in picks if op == "join"}
+        meets = {(x, y) for op, x, y, _ in picks if op == "meet"}
+        meet_only += bool(meets - joins)
+        join_only += bool(joins - meets)
+    assert (meet_only, join_only) == (7567, 7566)
 
 
 def test_is_lattice_boolean_true():
@@ -320,11 +337,10 @@ def test_modularity_distributivity():
     assert is_modular(ll) and is_distributive(ll)
 
 
-def test_distributive_implies_modular_on_every_completion_up_to_6(fixtures, bounded_upto6):
+def test_distributive_implies_modular_on_every_completion_up_to_6(fixtures, completions_upto6):
     # with x <= z the second distributive law reads x v (y ^ z) = (x v y) ^ z,
     # so MODLAT needs no distributivity check once modularity has failed
-    instances = [ll for p in bounded_upto6 for ll in enumerate_completions(p)]
-    instances += fixtures.values()
+    instances = completions_upto6 + list(fixtures.values())
     distributive = [ll for ll in instances if is_distributive(ll)]
     assert all(is_modular(ll) for ll in distributive)
     assert (len(instances), len(distributive)) == (19962, 2805)

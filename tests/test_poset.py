@@ -85,6 +85,12 @@ def test_matrix_constructor_validates():
         Poset([[1, 1], [1, 1]])  # not antisymmetric
     with pytest.raises(InvalidOrderError):
         Poset([[1, 1, 0], [0, 1, 1], [0, 0, 1]])  # not transitive
+    # an entry is 0, 1 or a bool: truthiness would read '0' as related
+    assert Poset([[True, True], [False, True]]) == Poset([[1, 1], [0, 1]])
+    for v in ("0", 0.5, 2, None, 1.0):
+        with pytest.raises(InvalidOrderError) as err:
+            Poset([[1, v], [0, 1]])
+        assert str(err.value) == f"relation matrix entry (0, 1) is {v!r}, not 0, 1, True or False"
 
 
 def test_upper_bounds_fig2():

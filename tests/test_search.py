@@ -583,6 +583,15 @@ def test_sizes_and_budgets_below_one_rejected(call):
      "tables must be symmetric at (0, 1)"),
     (lambda: acute(mk_poset(2)).restrict([1, 2]), "subset is not closed under the operations"),
     (lambda: independence_table(), "need a filter or explicit instances"),
+    # a truthy string would otherwise switch a filter on
+    (lambda: EnumerationFilter(max_elements=4, require_bounded="no"),
+     "require_bounded must be a bool, not 'no'"),
+    (lambda: EnumerationFilter(max_elements=4, require_bounded=None),
+     "require_bounded must be a bool, not None"),
+    (lambda: EnumerationFilter(max_elements=4, canonical_only=1),
+     "canonical_only must be a bool, not 1"),
+    (lambda: EnumerationFilter(max_elements=4, canonical_only="false"),
+     "canonical_only must be a bool, not 'false'"),
 ])
 def test_malformed_posets_labels_and_tables_raise_argument_error(call, message):
     with pytest.raises(ArgumentError) as err:
