@@ -198,13 +198,11 @@ class AcuteCharacterization(DictRecord):
 
 
 def mk_isomorphic(p: Poset) -> int | None:
-    """k > 1 when p is bounded of length two with a k-element middle antichain."""
-    if p.n < 4 or p.bottom is None or p.top is None:
-        return None
-    middle = frozenset(range(p.n)) - {p.bottom, p.top}
-    if p.atoms() == middle == p.coatoms():
-        return p.n - 2
-    return None
+    """k > 1 when p is bounded of length two with a k-element middle antichain.
+
+    acute_characterization decides M_k; this reads its k.
+    """
+    return None if p.bounds() is None else acute_characterization(p).k
 
 
 def acute_characterization(p: Poset) -> AcuteCharacterization:
@@ -213,7 +211,10 @@ def acute_characterization(p: Poset) -> AcuteCharacterization:
     A clause other than FAILS holds exactly when the acute completion
     satisfies the lower covering condition: either there are no atoms
     (singleton carrier), or the unique atom sits below every nonzero
-    element, or the poset is a two-level antichain Mk with k > 1.
+    element, or the poset is a two-level antichain Mk with k > 1. This is
+    the one Mk test: with two or more atoms, p is an Mk iff its atoms are
+    its coatoms, since each x strictly between the bounds lies above an
+    atom a, and when a is a coatom, x = a.
     """
     if p.bounds() is None:
         raise UnboundedError("the acute characterization needs a bounded poset")
@@ -226,9 +227,11 @@ def acute_characterization(p: Poset) -> AcuteCharacterization:
         # on a finite carrier each x above the bottom lies above a minimal
         # element of (0, x], which is an atom: a unique atom is below them all
         clause = AcuteClause.UNIQUE_ATOM_BELOW_ALL
+    elif atoms == coatoms:
+        k = len(atoms)
+        clause = AcuteClause.ISO_TO_MK
     else:
-        k = mk_isomorphic(p)
-        clause = AcuteClause.ISO_TO_MK if k is not None else AcuteClause.FAILS
+        clause = AcuteClause.FAILS
     return AcuteCharacterization(clause, k, atoms, coatoms)
 
 

@@ -333,7 +333,7 @@ class Poset:
 
     def length(self) -> int:
         """Height of the top element."""
-        if self.bottom is None or self.top is None:
+        if self.bounds() is None:
             raise UnboundedError("length needs bottom and top elements")
         return self.heights[self.top]
 

@@ -399,36 +399,30 @@ def _concl_equal_chain_lengths(p) -> Verdict:
     return HOLDS
 
 
-def _acute_condition_ii(p: Poset) -> bool:
-    atoms, coatoms = p.atoms(), p.coatoms()
-    return all(y in coatoms for x in atoms for y in _bits(p._incomparable[x]))
+def _disagreement(**sides: bool) -> Verdict:
+    """The failing verdict of sides that should agree, noting each as name=value."""
+    return Verdict(False, (), " ".join(f"{name.replace('_', '-')}={v}" for name, v in sides.items()))
 
 
 def _concl_acute_equivalence(p) -> Verdict:
+    char = checkers.acute_characterization(p)
     via_lcc = checkers.satisfies_lcc(acute(p)).holds
-    via_atoms = _acute_condition_ii(p)
-    via_structure = checkers.acute_characterization(p).clause is not checkers.AcuteClause.FAILS
+    via_atoms = all(y in char.coatoms for x in char.atoms for y in _bits(p._incomparable[x]))
+    via_structure = char.clause is not checkers.AcuteClause.FAILS
     if via_lcc == via_atoms == via_structure:
         return HOLDS
-    return Verdict(
-        False, (),
-        f"lcc-of-acute={via_lcc} atom-condition={via_atoms} structural={via_structure}",
-    )
+    return _disagreement(lcc_of_acute=via_lcc, atom_condition=via_atoms, structural=via_structure)
 
 
 def _concl_acute_finite(p) -> Verdict:
     via_lcc = checkers.satisfies_lcc(acute(p)).holds
-    structural = p.n == 1 or len(p.atoms()) == 1 or checkers.mk_isomorphic(p) is not None
-    if via_lcc == structural:
-        return HOLDS
-    return Verdict(False, (), f"lcc-of-acute={via_lcc} structural={structural}")
+    structural = checkers.acute_characterization(p).clause is not checkers.AcuteClause.FAILS
+    return HOLDS if via_lcc == structural else _disagreement(lcc_of_acute=via_lcc, structural=structural)
 
 
 def _concl_monotone_iff_lattice(ll) -> Verdict:
     mono, lat = is_monotone(ll), is_lattice(ll)
-    if mono == lat:
-        return HOLDS
-    return Verdict(False, (), f"monotone={mono} lattice={lat}")
+    return HOLDS if mono == lat else _disagreement(monotone=mono, lattice=lat)
 
 
 def _concl_modular_implies_lattice(ll) -> Verdict:

@@ -426,3 +426,17 @@ def isomorphic_naive(a, b):
                for ta, tb in zip(tables_a, tables_b) for x in range(n) for y in range(n)):
             return True
     return False
+
+
+def mk_size(n, rel):
+    """k = n - 2 when the order is an M_k: bounded, n >= 4, and every element
+    other than the bounds covers the bottom and is covered by the top; else None."""
+    if n < 4:
+        return None
+    bottom = next((b for b in range(n) if all((b, j) in rel for j in range(n))), None)
+    top = top_element(n, rel)
+    if bottom is None or top is None:
+        return None
+    covers = cover_relation(n, rel)
+    middle = set(range(n)) - {bottom, top}
+    return n - 2 if all((bottom, m) in covers and (m, top) in covers for m in middle) else None

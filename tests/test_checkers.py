@@ -3,6 +3,7 @@ import pytest
 from lamlat import (
     AcuteClause,
     ChoiceSpec,
+    EnumerationFilter,
     Poset,
     UnboundedError,
     Verdict,
@@ -14,6 +15,7 @@ from lamlat import (
     cond5,
     dcc,
     enumerate_completions,
+    enumerate_posets,
     from_choice,
     height_inequality,
     is_distributive,
@@ -32,12 +34,14 @@ from oracles import (
     cond3_witness,
     cond4_witness,
     cond5_witness,
+    cover_relation,
     height_witness,
     is_distributive_naive,
     is_modular_naive,
     is_monotone_naive,
     lcc_witness,
     lemma1_quadruple,
+    mk_size,
     monotone_wedge_witness,
     relation_from_covers,
     semimodular_witness,
@@ -260,6 +264,41 @@ def test_mk_isomorphic():
     assert mk_isomorphic(mk_poset(4)) == 4
     assert mk_isomorphic(mk_poset(1)) is None  # a chain is not an Mk
     assert mk_isomorphic(fixture_poset("FIG3")) is None
+
+
+def _relation(p):
+    return {(a, b) for a, row in enumerate(p._up) for b in range(p.n) if row >> b & 1}
+
+
+def test_mk_isomorphic_matches_oracle_on_labeled_posets_up_to_6():
+    # an M_k has 3n - 3 comparable pairs (n reflexive, the bottom below the
+    # n - 1 others, the middle below the top): any other count is no M_k
+    found = 0
+    for p in enumerate_posets(EnumerationFilter(max_elements=6)):
+        k = mk_isomorphic(p)
+        if sum(row.bit_count() for row in p._up) != 3 * p.n - 3:
+            assert k is None, p
+            continue
+        assert k == mk_size(p.n, _relation(p)), p
+        found += k is not None
+    assert found == 12 + 20 + 30  # a bottom and a top picked from n labels, n = 4, 5, 6
+
+
+def test_acute_characterization_matches_oracle_up_to_6(bounded_upto6, fixtures):
+    posets = [*bounded_upto6, *(ll.poset for ll in fixtures.values()), mk_poset(5)]
+    for p in posets:
+        rel = _relation(p)
+        bottom = next(b for b in range(p.n) if all((b, j) in rel for j in range(p.n)))
+        atoms = {a for b, a in cover_relation(p.n, rel) if b == bottom}
+        k = mk_size(p.n, rel)
+        if p.n == 1:
+            want = AcuteClause.NO_ATOMS
+        elif len(atoms) == 1:
+            want = AcuteClause.UNIQUE_ATOM_BELOW_ALL
+        else:
+            want = AcuteClause.FAILS if k is None else AcuteClause.ISO_TO_MK
+        char = acute_characterization(p)
+        assert (char.clause, char.k, char.atoms) == (want, k, atoms), p
 
 
 # ----- aggregate -----

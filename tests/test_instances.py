@@ -69,7 +69,7 @@ def test_parse_bad_choice():
 
 def test_parse_comparable_assignment_rejected():
     text = FIG3_TEXT + "join: 0 a = a\n"
-    with pytest.raises(BadChoiceError):
+    with pytest.raises(BadChoiceError, match=r"^line 6: join\(0, a\) assigns a comparable pair;"):
         parse_instance(text)
 
 

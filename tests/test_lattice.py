@@ -112,6 +112,7 @@ def test_check_axioms_twisted_chain():
     assert report.commutativity.holds
     assert not report.absorption.holds
     assert report.absorption.witness == (1, 0)
+    assert report.all_pass is False  # commutativity alone does not pass
 
 
 def test_check_axioms_commutativity_witness():

@@ -138,6 +138,11 @@ def test_heights_fig4():
         assert p.height(x) == oracle_height(10, list(p.covers), 0, x)
 
 
+def test_length_needs_both_bounds():
+    with pytest.raises(UnboundedError, match="length needs bottom and top elements"):
+        Poset.from_covers(3, [(0, 1), (0, 2)]).length()  # a bottom but no top
+
+
 def test_heights_fig2():
     p = fixture_poset("FIG2")
     assert p.height(4) == p.height(5) == 2

@@ -3,6 +3,7 @@ import tracemalloc
 from collections import Counter
 from itertools import chain, islice, product
 from math import factorial
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +18,7 @@ from lamlat import (
     NotDirectedError,
     Poset,
     UnknownTheoremError,
+    Verdict,
     acute,
     check_axioms,
     completion_count,
@@ -572,6 +574,8 @@ def test_sizes_and_budgets_below_one_rejected(call):
     (lambda: check_axioms([[0]], [[0, 0], [0, 1]]), "join and meet tables differ in size"),
     (lambda: LambdaLattice(Poset([[1, 1], [0, 1]]), [[0]], [[0]]),
      "operation tables must be n x n"),
+    (lambda: LambdaLattice(Poset([[1, 1], [0, 1]]), [[0, 1], [1, 1]], [[0]]),
+     "operation tables must be n x n"),  # one table of the wrong size is enough
     (lambda: mk_poset(2).relabel([0, 0, 1, 2]), "not a permutation of the carrier"),
     (lambda: mk_poset(2).relabel([0.0, 1, 2, 3]), "not a permutation of the carrier"),
     (lambda: mk_poset(2).relabel([True, 0, 2, 3]), "not a permutation of the carrier"),
@@ -804,6 +808,33 @@ def test_theorem_registry_shape():
     assert {tid: th.refuted_at for tid, th in THEOREMS.items() if th.refuted_at is not None} == {
         "HEIGHT": 7, "TH1_NO_COND3": 6, "TH1_LCC_CONCLUSION": 5, "TH2_NO_COND4": 6,
         "TH2_NO_COND5": 5, "CHAINS_NO_LU": 5,
+    }
+
+
+def test_readme_theorem_table_matches_the_registry():
+    # the last three cells are read from the right: a statement may hold '|' in backticks
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("## Theorem ids for `verify`", 1)[1].split("\n\n")[1]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        rows[cells[0].strip("`")] = tuple(cells[-3:])
+    assert rows.keys() == THEOREMS.keys()
+    for tid, th in THEOREMS.items():
+        refuted = "—" if th.refuted_at is None else f"n = {th.refuted_at}"
+        assert rows[tid] == (th.over, f"n ≤ {th.default_max_elements}", refuted), tid
+
+
+def test_disagreeing_sides_are_noted_name_by_name(monkeypatch):
+    # MONO, ACUTE and COR1 are clean, so one side is broken to read each failing note
+    monkeypatch.setattr(checkers, "satisfies_lcc", lambda ll: Verdict(False, (0, 1)))
+    monkeypatch.setattr(search, "is_monotone", lambda ll: False)
+    m2 = mk_poset(2)
+    found = {tid: violates(tid, inst) for tid, inst in (("MONO", acute(m2)), ("ACUTE", m2), ("COR1", m2))}
+    assert {tid: (ce.witness, ce.note) for tid, ce in found.items()} == {
+        "MONO": ((), "monotone=False lattice=True"),
+        "ACUTE": ((), "lcc-of-acute=False atom-condition=True structural=True"),
+        "COR1": ((), "lcc-of-acute=False structural=True"),
     }
 
 
