@@ -15,7 +15,7 @@ from enum import Enum
 from .errors import UnboundedError
 from .lattice import LambdaLattice, _monotone_failure
 from .poset import Poset, _bits
-from .verdict import HOLDS, DictRecord, Verdict
+from .verdict import HOLDS, DictRecord, Verdict, failing
 
 _DCC = Verdict(True, note="finite carrier: every descending chain terminates")
 
@@ -42,7 +42,7 @@ def is_semimodular(ll: LambdaLattice) -> Verdict:
                 if mt[jt[z][u]][x] == z:
                     break
             else:
-                return Verdict(False, (x, y, z))
+                return failing((x, y, z))
     return HOLDS
 
 
@@ -88,7 +88,7 @@ def _lower_covering(ll: LambdaLattice, guard) -> Verdict:
     for x, y in p._incomparable_cells:
         j = jt[x][y]
         if cov[mt[x][y]] >> x & 1 and not cov[y] >> j & 1 and guard[x] >> j & 1:
-            return Verdict(False, (x, y))
+            return failing((x, y))
     return HOLDS
 
 
@@ -110,7 +110,7 @@ def _meet_steps(ll: LambdaLattice, steps) -> Verdict:
     for x, y in p._incomparable_cells:
         for z in _bits(steps[y] & inc[x] & ~(1 << y)):
             if not up[mt[x][y]] >> mt[x][z] & 1:
-                return Verdict(False, (x, y, z))
+                return failing((x, y, z))
     return HOLDS
 
 
@@ -138,7 +138,7 @@ def cond5(ll: LambdaLattice) -> Verdict:
         j = jt[x][y]
         for z in _bits(up[x] & cov[y]):
             if z != j and up[z] >> j & 1:
-                return Verdict(False, (x, y, z))
+                return failing((x, y, z))
     return HOLDS
 
 
@@ -164,17 +164,14 @@ def height_inequality(ll: LambdaLattice) -> Verdict:
             continue
         j = jt[a][b]
         if h[j] - h[m] > abs(h[a] - h[b]) + 2:
-            return Verdict(
-                False, (a, b),
-                f"h(a)={h[a]} h(b)={h[b]} h(join)={h[j]} h(meet)={h[m]}",
-            )
+            return failing((a, b), f"h(a)={h[a]} h(b)={h[b]} h(join)={h[j]} h(meet)={h[m]}")
     return HOLDS
 
 
 def monotone_wedge(ll: LambdaLattice) -> Verdict:
     """Monotonicity of meet alone: x <= y forces x ^ z <= y ^ z."""
     witness = _monotone_failure(ll, (ll.meet_table,))
-    return HOLDS if witness is None else Verdict(False, witness)
+    return HOLDS if witness is None else failing(witness)
 
 
 # ----- acute classification -----

@@ -2,11 +2,12 @@
 
 Exit codes: 0 when the command succeeds and no violation was found, 1
 when a property fails or a verification run produced a counterexample,
-2 on usage, parse or input errors.
+2 on usage, parse or input errors, 141 (SIGPIPE) when stdout's reader quits.
 """
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from itertools import product
@@ -258,7 +259,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a closed pipe is caught below and not at exit
+        return code
+    except BrokenPipeError:  # `lamlat enumerate | head`: the rest goes to devnull, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, LamlatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from .errors import (
     UnboundedError,
 )
 from .poset import Poset, _bits, _check_index, _completion_rows, _is_int, _least, _positions
-from .verdict import HOLDS, DictRecord, Verdict
+from .verdict import HOLDS, DictRecord, Verdict, failing
 
 Pair = tuple[int, int]
 
@@ -93,7 +93,7 @@ def check_axioms(join, meet) -> AxiomReport:
         if hit is None:
             return HOLDS
         w, op, dual = hit
-        return Verdict(False, w, note.format(op=op, dual=dual))
+        return failing(w, note.format(op=op, dual=dual))
 
     pairs = tuple(product(range(n), repeat=2))
     return AxiomReport(

@@ -14,7 +14,7 @@ from .errors import (
     RangeError,
     UnboundedError,
 )
-from .verdict import HOLDS, Verdict
+from .verdict import HOLDS, Verdict, failing
 
 
 class _cached(cached_property):
@@ -33,16 +33,17 @@ class _cached(cached_property):
         return value
 
 
-def _bits_of(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+class _BitTable(dict):
+    """mask -> the indices of its set bits, ascending, computed on first use and kept below 2^10."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        if mask < 0:
+            raise ValueError(f"a bit mask must not be negative, not {mask}")
+        bits = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        return self.setdefault(mask, bits) if mask < 1 << 10 else bits
 
 
-_BYTE_BITS = tuple(_bits_of(m) for m in range(256))
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """Indices of set bits, ascending; masks below 256 come from a table."""
-    return _BYTE_BITS[mask] if mask < 256 else _bits_of(mask)
+_bits = _BitTable().__getitem__  # larger masks are not kept: convex_closed_subsets reads all 2^n
 
 
 def _is_int(v) -> bool:
@@ -397,7 +398,7 @@ class Poset:
                 ay = above[y]
                 for z in ys[k + 1:]:
                     if not ay & above[z]:
-                        return Verdict(False, (x, y, z))
+                        return failing((x, y, z))
         return HOLDS
 
     def is_convex(self, elements: Iterable[int]) -> bool:

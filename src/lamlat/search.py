@@ -27,7 +27,7 @@ from .lattice import (
     is_monotone,
 )
 from .poset import Poset, _bits, _BoundedPoset, _check_size, _completion_rows
-from .verdict import HOLDS, Verdict
+from .verdict import HOLDS, Verdict, failing
 
 # the largest carrier a stream accepts, and the one bound on a run's work: at
 # most 2 479 937 completions over the bounded labeled posets up to 7 elements
@@ -285,14 +285,16 @@ def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:
             yield from _labeled_posets(n)
 
 
-def _bound_options(p: Poset, pairs) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
-    """(x, y, its common upper bounds, its common lower bounds) per pair (x, y), lazily."""
+def _bound_options(p: Poset, pairs) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
+    """(x, y, common upper bounds, common lower bounds) per pair; the stream's and count's one check."""
     up, down = p._up, p._down
+    options = []
     for x, y in pairs:
         ups, downs = _bits(up[x] & up[y]), _bits(down[x] & down[y])
         if not (ups and downs):
             raise NotDirectedError("completions need a directed poset")  # a bound is missing
-        yield x, y, ups, downs
+        options.append((x, y, ups, downs))
+    return options
 
 
 def enumerate_completions(p: Poset) -> Iterator[LambdaLattice]:
@@ -332,7 +334,10 @@ def enumerate_completions(p: Poset) -> Iterator[LambdaLattice]:
     frozen[0].extend(map(tuple, jt))
     frozen[1].extend(map(tuple, mt))
     tables = [tuple(frozen[0]), tuple(frozen[1])]
-    yield LambdaLattice._from_tables(p, tables[0], tables[1])
+    new = LambdaLattice.__new__  # each completion is built as _from_tables does, with no call
+    ll = new(LambdaLattice)
+    ll.poset, ll.join_table, ll.meet_table = p, tables[0], tables[1]
+    yield ll
     if not wheels:
         return
     at, final = [0] * len(wheels), len(wheels) - 1
@@ -343,7 +348,9 @@ def enumerate_completions(p: Poset) -> Iterator[LambdaLattice]:
             sr[sx][sy] = sr[sy][sx] = v
             sf[sx], sf[sy] = tuple(sr[sx]), tuple(sr[sy])
             tables[s] = tuple(sf)
-            yield LambdaLattice._from_tables(p, tables[0], tables[1])
+            ll = new(LambdaLattice)
+            ll.poset, ll.join_table, ll.meet_table = p, tables[0], tables[1]
+            yield ll
         # the fastest wheel is at its last option: carry into the slower ones
         k, at[final] = final, end
         while k >= 0 and at[k] == wheels[k][1]:
@@ -360,7 +367,9 @@ def enumerate_completions(p: Poset) -> Iterator[LambdaLattice]:
             tables[0] = tuple(frozen[0])
         if k <= last[1]:
             tables[1] = tuple(frozen[1])
-        yield LambdaLattice._from_tables(p, tables[0], tables[1])
+        ll = new(LambdaLattice)
+        ll.poset, ll.join_table, ll.meet_table = p, tables[0], tables[1]
+        yield ll
 
 
 def completion_count(p: Poset) -> int:
@@ -388,20 +397,20 @@ def _concl_lemma1(ll) -> Verdict:
     quad = checkers.lemma1_refutes(ll)
     if quad is None:
         return HOLDS
-    return Verdict(False, quad, "all joins from the refuting quadruple agree")
+    return failing(quad, "all joins from the refuting quadruple agree")
 
 
 def _concl_equal_chain_lengths(p) -> Verdict:
     """Witness: the least element whose Poset.chain_lengths_to_top mask has more than one bit."""
     for a, lengths in enumerate(p.chain_lengths_to_top()):
         if lengths.bit_count() > 1:
-            return Verdict(False, (a,), f"maximal chain lengths {list(_bits(lengths))}")
+            return failing((a,), f"maximal chain lengths {list(_bits(lengths))}")
     return HOLDS
 
 
 def _disagreement(**sides: bool) -> Verdict:
     """The failing verdict of sides that should agree, noting each as name=value."""
-    return Verdict(False, (), " ".join(f"{name.replace('_', '-')}={v}" for name, v in sides.items()))
+    return failing((), " ".join(f"{name.replace('_', '-')}={v}" for name, v in sides.items()))
 
 
 def _concl_acute_equivalence(p) -> Verdict:
@@ -428,7 +437,7 @@ def _concl_monotone_iff_lattice(ll) -> Verdict:
 def _concl_modular_implies_lattice(ll) -> Verdict:
     if is_lattice(ll) or not is_modular(ll):
         return HOLDS
-    return Verdict(False, (), "modular without being a lattice")
+    return failing((), "modular without being a lattice")
 
 
 def _always(_) -> bool:

@@ -74,3 +74,10 @@ class Verdict(DictRecord):
 
 
 HOLDS = Verdict(True)  # frozen, so one instance serves every passing check
+_FAILING: dict[tuple, Verdict] = {}  # (witness, note) -> its one failing verdict
+
+
+def failing(witness: tuple[int, ...], note: str = "") -> Verdict:
+    """The failing verdict with this witness and note: built through Verdict once, then shared."""
+    v = _FAILING.get((witness, note))
+    return v if v is not None else _FAILING.setdefault((witness, note), Verdict(False, witness, note))

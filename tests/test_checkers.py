@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from lamlat import (
@@ -19,6 +22,7 @@ from lamlat import (
     from_choice,
     height_inequality,
     is_distributive,
+    is_lattice,
     is_modular,
     is_monotone,
     is_semimodular,
@@ -381,3 +385,22 @@ def test_is_semimodular_matches_oracle_on_every_completion_with_6_elements(compl
                                                   [list(r) for r in ll.meet_table]), ll.encoding()
         failing += not got.holds
     assert (len(instances), failing) == (19410, 9360)
+
+
+def test_every_checker_result_on_the_completions_up_to_6_matches_its_pinned_digest(
+        bounded_upto6, completions_upto6):
+    # the sha256 of each checker's verdict dict (witness and note included),
+    # lemma1_refutes' quadruple and the lattice predicates, taken over the
+    # 19 955 completions before failing verdicts were shared and _bits became a table
+    verdicts = (is_semimodular, cond3, cond4, cond5, satisfies_wlcc, satisfies_lcc,
+                height_inequality, monotone_wedge)
+    h = hashlib.sha256()
+    for ll in completions_upto6:
+        for checker in verdicts:
+            h.update(json.dumps(checker(ll).to_dict()).encode())
+        h.update(repr((lemma1_refutes(ll), is_lattice(ll), is_monotone(ll), is_modular(ll))).encode())
+    assert h.hexdigest() == "11188f1ca4892975d11ff906074cef17e5c20daf3cbb881d03be70ff56cad1bd"
+    h = hashlib.sha256()
+    for p in bounded_upto6:
+        h.update(json.dumps(p.has_lu_covering().to_dict()).encode())
+    assert h.hexdigest() == "caf597a61eb4dc2e011f96be9030c20ff28e2764412337f514cb286ec43046a5"

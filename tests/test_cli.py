@@ -257,12 +257,15 @@ def test_help_exit_0(capsys):
     assert main(["--help"]) == 0
 
 
-def test_python_dash_m_runs_the_cli():
+def _module_env() -> dict:
+    """The environment for `python -m lamlat` on this checkout's package."""
     src = str(Path(lamlat.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
+
+def test_python_dash_m_runs_the_cli():
     def run(*args):
-        return subprocess.run([sys.executable, "-m", "lamlat", *args], env=env,
+        return subprocess.run([sys.executable, "-m", "lamlat", *args], env=_module_env(),
                               capture_output=True, text=True, timeout=60)
 
     ok = run("verify", "TH1", "--max-n", "3")
@@ -271,6 +274,23 @@ def test_python_dash_m_runs_the_cli():
     bad = run("enumerate", "--n", "0")
     assert bad.returncode == 2
     assert bad.stderr.startswith("error:")
+
+
+def test_closed_stdout_pipe_exits_141_and_prints_nothing():
+    # `lamlat enumerate --n 6 | head -1`: the reader stops after one line of
+    # several megabytes, and the run ends as SIGPIPE would (128 + 13), not
+    # with an "error:" line and the input-error code 2
+    proc = subprocess.Popen([sys.executable, "-m", "lamlat", "enumerate", "--n", "6"],
+                            env=_module_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    try:
+        assert proc.stdout.readline() == "n=1: 1\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 141
+    assert err == ""
 
 
 def test_size_help_names_the_stream_guards(capsys, monkeypatch):

@@ -337,8 +337,12 @@ def test_bits_matches_bit_loop_across_table_boundary():
             yield low.bit_length() - 1
             mask ^= low
 
-    for m in range(1024):
+    for m in [*range(1024), 1 << 9 | 5, (1 << 10) - 1, 1 << 39 | 1 << 17 | 1, (1 << 40) - 1]:
         assert _bits(m) == tuple(bit_loop(m)), m
+    table = _bits.__self__  # the masks of carriers up to 10 elements are kept, larger ones not
+    assert 1 << 9 | 5 in table and (1 << 10) - 1 in table and (1 << 40) - 1 not in table
+    with pytest.raises(ValueError, match="must not be negative"):
+        _bits(-1)  # not a row of the table read from its end
 
 
 def test_convexity_fig2():

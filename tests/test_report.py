@@ -15,6 +15,7 @@ from lamlat import (
 )
 from lamlat.fixtures import FIXTURE_NAMES, fixture
 from lamlat.report import ReportDocument
+from lamlat.verdict import failing
 
 
 def test_report_fields_fig2():
@@ -79,6 +80,16 @@ def test_record_encoding():
     d = build_report("FIG5", fixture("FIG5")).to_dict()
     assert isinstance(d["axioms"]["absorption"], dict) and isinstance(d["labels"], list)
     assert set(d["properties"]) == set(PropertyReport.__dataclass_fields__)
+
+
+def test_failing_serves_one_validated_verdict_per_witness_and_note():
+    v = failing((2, 0, 1), "h(a)=1")
+    assert v == Verdict(False, (2, 0, 1), "h(a)=1")
+    assert failing((2, 0, 1), "h(a)=1") is v
+    assert failing((0, 1)) is failing((0, 1), "") == Verdict(False, (0, 1))
+    assert failing((0, 1)) is not failing((0, 1), "x")
+    with pytest.raises(ValueError, match="must carry a witness"):
+        failing(None)
 
 
 def test_from_dict_fills_missing_optional_keys():
