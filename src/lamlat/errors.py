@@ -11,8 +11,8 @@ class ArgumentError(LamlatError, ValueError):
     per element, a relabeling that is not a permutation, a choice spec with
     a same-element or conflicting pair, operation tables that are empty,
     not square, of the wrong size or asymmetric, a subset not closed under
-    the operations, an enumeration flag that is not a bool, or nothing to
-    classify."""
+    the operations, an enumeration flag or collect_all that is not a bool,
+    an unknown fixture name, or nothing to classify."""
 
 
 class RangeError(LamlatError):

@@ -8,6 +8,7 @@ Each is written in the instance-file format of instances.py.
 
 from functools import lru_cache
 
+from .errors import ArgumentError
 from .instances import parse_instance
 from .lattice import LambdaLattice
 from .poset import Poset
@@ -59,7 +60,9 @@ FIXTURE_NAMES = tuple(_TEXTS)
 
 @lru_cache(maxsize=None)
 def fixture(name: str) -> LambdaLattice:
-    """A catalog instance by name; see FIXTURE_NAMES."""
+    """A catalog instance by name; any name outside FIXTURE_NAMES raises ArgumentError."""
+    if name not in _TEXTS:
+        raise ArgumentError(f"unknown fixture {name!r}; known fixtures: {', '.join(FIXTURE_NAMES)}")
     return parse_instance(_TEXTS[name])
 
 

@@ -22,7 +22,7 @@ import re
 
 from .errors import BadChoiceError, ParseError
 from .lattice import ChoiceSpec, LambdaLattice, _unforced, from_choice
-from .poset import Poset
+from .poset import Poset, _bits
 
 _TOKEN = re.compile(r"\S+")
 
@@ -123,11 +123,11 @@ def render_instance(obj: Poset | LambdaLattice) -> str:
     completion with none gets a bare 'lattice' line instead.
     """
     p = obj.poset if isinstance(obj, LambdaLattice) else obj
-    names = [p.label(i) for i in range(p.n)]
+    names = p.labels or [str(i) for i in range(p.n)]
     lines = ["elements: " + " ".join(names)]
-    covers = p.covers
+    covers = [f"{names[a]} < {names[b]}" for a, row in enumerate(p._covers_above) for b in _bits(row)]
     if covers:
-        lines.append("covers: " + "  ".join(f"{names[a]} < {names[b]}" for a, b in covers))
+        lines.append("covers: " + "  ".join(covers))
     if isinstance(obj, LambdaLattice):
         picks = [f"{op}: {names[x]} {names[y]} = {names[v]}" for op, x, y, v in _unforced(obj)]
         lines += picks or ["lattice"]

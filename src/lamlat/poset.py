@@ -174,16 +174,6 @@ class Poset:
         return p
 
     @classmethod
-    def _with_top(cls, n: int, up: tuple[int, ...], top: int | None) -> "Poset":
-        # trusted path for the labeled stream: up is the row tuple and top its greatest element
-        p = cls.__new__(cls)
-        p.n = n  # one store each: a four-name unpacking builds and unpacks a tuple
-        p._up = up
-        p.labels = None
-        p.top = top
-        return p
-
-    @classmethod
     def from_covers(cls, n: int, covers: Iterable[tuple[int, int]],
                     labels: Sequence[str] | None = None) -> "Poset":
         """Reflexive-transitive closure of a cover list; rejects cyclic input."""
@@ -260,8 +250,8 @@ class Poset:
     def top(self) -> int | None:
         """The greatest element: the one bit of the AND of the up-set rows, if any.
 
-        The labeled stream stores it at build (_with_top), from the AND its
-        walk keeps; any other poset computes it on first read.
+        The labeled stream stores it at build (search._labeled_posets), from
+        the AND its walk keeps; any other poset computes it on first read.
         """
         common = reduce(and_, self._up)
         return common.bit_length() - 1 if common else None

@@ -10,7 +10,7 @@ scope says which.
 import time
 from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heapreplace
-from itertools import chain, islice, permutations, repeat
+from itertools import islice, permutations, repeat
 from math import prod
 from typing import Callable, Iterable, Iterator
 
@@ -182,7 +182,15 @@ def _walk(n: int) -> Iterator[tuple[list[tuple[int, ...]], list[int | None]]]:
 
 def _labeled_posets(n: int) -> Iterator[Poset]:
     """Every labeled poset on n elements, ascending, each built once from _walk with its top."""
-    return chain.from_iterable(map(Poset._with_top, repeat(n), b, tops) for b, tops in _walk(n))
+    new = Poset.__new__  # each poset is built as _from_masks does, with no call
+    for batch, tops in _walk(n):
+        for up, top in zip(batch, tops):
+            p = new(Poset)
+            p.n = n  # one store each: a four-name unpacking builds and unpacks a tuple
+            p._up = up
+            p.labels = None
+            p.top = top
+            yield p
 
 
 def _canonical_masks() -> Iterator[list[tuple[int, ...]]]:
@@ -400,11 +408,17 @@ def _concl_lemma1(ll) -> Verdict:
     return failing(quad, "all joins from the refuting quadruple agree")
 
 
+_CHAIN_GAPS: dict[tuple[int, int], Verdict] = {}  # (element, lengths mask) -> its failing verdict
+
+
 def _concl_equal_chain_lengths(p) -> Verdict:
     """Witness: the least element whose Poset.chain_lengths_to_top mask has more than one bit."""
     for a, lengths in enumerate(p.chain_lengths_to_top()):
         if lengths.bit_count() > 1:
-            return failing((a,), f"maximal chain lengths {list(_bits(lengths))}")
+            v = _CHAIN_GAPS.get((a, lengths))
+            if v is None:  # the note is built once per (element, mask)
+                v = _CHAIN_GAPS[a, lengths] = failing((a,), f"maximal chain lengths {list(_bits(lengths))}")
+            return v
     return HOLDS
 
 
@@ -639,15 +653,26 @@ class VerificationResult:
         }
 
 
-def _judge(th: Theorem, poset: Poset, lattice: LambdaLattice | None) -> Counterexample | None:
-    """th judged on the lattice if given, else the poset: a Counterexample, or None if it holds."""
-    instance = poset if lattice is None else lattice
-    if not th.hypothesis(instance):
-        return None
-    v = th.conclusion(instance)
-    if v.holds:
-        return None
-    return Counterexample(th.theorem_id, poset, lattice, v.witness, v.note)
+def _judge(th: Theorem, poset: Poset | None, instances: Iterable,
+           collect_all: bool) -> tuple[int, list[Counterexample]]:
+    """th judged on each instance in turn: how many were judged, and the counterexamples.
+
+    With poset None every instance is a poset judged by itself, else a
+    completion of poset. A counterexample is an instance whose hypothesis
+    holds and whose conclusion fails; the first ends the loop unless
+    collect_all is set.
+    """
+    hypothesis, conclusion, tid = th.hypothesis, th.conclusion, th.theorem_id
+    judged, found = 0, []
+    for judged, instance in enumerate(instances, 1):
+        if hypothesis(instance):
+            v = conclusion(instance)
+            if not v.holds:
+                found.append(Counterexample(tid, instance, None, v.witness, v.note) if poset is None
+                             else Counterexample(tid, poset, instance, v.witness, v.note))
+                if not collect_all:
+                    break
+    return judged, found
 
 
 def _poset_filter(over: str, flt: EnumerationFilter) -> EnumerationFilter:
@@ -666,7 +691,9 @@ def violates(theorem_id: str, instance) -> Counterexample | None:
     poset = instance if lattice is None else instance.poset
     if th.over == "lattices" and lattice is None or th.over == "bounded posets" and poset.bounds() is None:
         raise TypeError(f"{th.theorem_id} quantifies over {th.over}")
-    return _judge(th, poset, lattice if th.over == "lattices" else None)
+    _, found = (_judge(th, poset, (lattice,), False) if th.over == "lattices"
+                else _judge(th, None, (poset,), False))
+    return found[0] if found else None
 
 
 def verify(
@@ -677,7 +704,7 @@ def verify(
 ) -> VerificationResult:
     """Replay one theorem over every enumerated instance in range.
 
-    Stops at the first counterexample in stream order unless
+    Stops at the first counterexample in stream order unless the bool
     collect_all is set. Every streamed poset is checked, and the stream
     guards bound the run. Completions stream lazily, so a first-hit run
     stops building at the counterexample. The scope names what was
@@ -685,6 +712,8 @@ def verify(
     proof, and a counterexample refutes the statement.
     """
     th = _lookup(theorem_id)
+    if not isinstance(collect_all, bool):
+        raise ArgumentError(f"collect_all must be a bool, not {collect_all!r}")
     if flt is None:
         flt = EnumerationFilter(max_elements=th.default_max_elements)
     eff = _poset_filter(th.over, flt)
@@ -697,23 +726,14 @@ def verify(
     if on_lattices:  # the instances of p are its completions
         for p in enumerate_posets(eff):
             posets_checked += 1
-            for ll in enumerate_completions(p):
-                lattices_checked += 1
-                ce = _judge(th, p, ll)
-                if ce is not None:
-                    found.append(ce)
-                    if not collect_all:
-                        break
-            if found and not collect_all:
-                break
-    else:  # p itself is the instance
-        for p in enumerate_posets(eff):
-            posets_checked += 1
-            ce = _judge(th, p, None)
-            if ce is not None:
-                found.append(ce)
+            judged, hits = _judge(th, p, enumerate_completions(p), collect_all)
+            lattices_checked += judged
+            if hits:
+                found += hits
                 if not collect_all:
                     break
+    else:  # every poset is an instance
+        posets_checked, found = _judge(th, None, enumerate_posets(eff), collect_all)
 
     elapsed = time.perf_counter() - start
     kind = "bounded posets" if eff.require_bounded else "posets"

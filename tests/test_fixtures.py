@@ -1,4 +1,6 @@
-from lamlat import check_axioms, classify, is_semimodular, satisfies_lcc, satisfies_wlcc
+import pytest
+
+from lamlat import ArgumentError, check_axioms, classify, is_semimodular, satisfies_lcc, satisfies_wlcc
 from lamlat.fixtures import FIXTURE_NAMES, catalog, fig6_family, fixture, fixture_poset
 
 
@@ -89,3 +91,11 @@ def test_summary_rows(fixtures):
         "FIG2-VARIANT": (False, True, False),
         "FIG6": (False, False, False),
     }
+
+
+@pytest.mark.parametrize("lookup", [fixture, fixture_poset])
+def test_an_unknown_fixture_name_raises_argument_error_naming_the_catalog(lookup):
+    with pytest.raises(ArgumentError) as err:
+        lookup("fig3")
+    assert str(err.value) == (
+        "unknown fixture 'fig3'; known fixtures: FIG2, FIG2-VARIANT, FIG3, FIG4, FIG5, FIG6, ACUTE-FIG3")

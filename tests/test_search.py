@@ -596,6 +596,9 @@ def test_sizes_and_budgets_below_one_rejected(call):
      "canonical_only must be a bool, not 1"),
     (lambda: EnumerationFilter(max_elements=4, canonical_only="false"),
      "canonical_only must be a bool, not 'false'"),
+    # read by truthiness, "no" would collect all 60 counterexamples at n <= 5
+    (lambda: verify("TH1_LCC_CONCLUSION", EnumerationFilter(max_elements=5), collect_all="no"),
+     "collect_all must be a bool, not 'no'"),
 ])
 def test_malformed_posets_labels_and_tables_raise_argument_error(call, message):
     with pytest.raises(ArgumentError) as err:
@@ -800,6 +803,31 @@ def test_violates_judges_every_instance_as_verify_does_up_to_5(theorem_id):
             assert (ce.witness, ce.note, ce.encoding()) == (want.witness, want.note, want.encoding())
             assert ce.to_dict() == want.to_dict()
     assert next(expected, None) is None
+
+
+@pytest.mark.parametrize("theorem_id", [
+    "TH1_NO_COND3", "TH1_LCC_CONCLUSION", "TH2_NO_COND4", "TH2_NO_COND5", "CHAINS_NO_LU"])
+def test_a_first_hit_run_counts_up_to_the_first_instance_violates_refutes(theorem_id):
+    # the oracle walks the streams itself and judges one instance at a time
+    th = THEOREMS[theorem_id]
+    flt = EnumerationFilter(max_elements=th.refuted_at, require_bounded=th.over != "posets")
+
+    def ranked_instances():
+        for poset_rank, p in enumerate(enumerate_posets(flt), 1):
+            for inst in (enumerate_completions(p) if th.over == "lattices" else (p,)):
+                yield poset_rank, inst
+
+    for rank, (poset_rank, inst) in enumerate(ranked_instances(), 1):
+        hit = violates(theorem_id, inst)
+        if hit is not None:
+            break
+    r = verify(theorem_id, EnumerationFilter(max_elements=th.refuted_at))
+    if th.over == "lattices":
+        assert (r.lattices_checked, r.posets_checked) == (rank, poset_rank)
+    else:
+        assert (r.posets_checked, r.lattices_checked) == (rank, 0)
+    assert r.counterexample.to_dict() == hit.to_dict()
+    assert len(r.all_counterexamples) == 1
 
 
 def test_theorem_registry_shape():
