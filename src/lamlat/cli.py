@@ -100,19 +100,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rows = []
     by_triple: dict[tuple[bool, bool, bool], list[str]] = {}
     for fixture_name in FIXTURE_NAMES:
         triple = classify(fixture(fixture_name)).row()
         by_triple.setdefault(triple, []).append(fixture_name)
-    order = list(_ROW_ORDER) + sorted(t for t in by_triple if t not in _ROW_ORDER)
-    for triple in order:
-        rows.append({
-            "sm": triple[0],
-            "wlcc": triple[1],
-            "lcc": triple[2],
-            "instances": by_triple.get(triple, []),
-        })
+    rows = [{"sm": sm, "wlcc": wlcc, "lcc": lcc, "instances": by_triple.get((sm, wlcc, lcc), [])}
+            for sm, wlcc, lcc in _ROW_ORDER]
     header = f"{'SM':<5}{'WLCC':<6}{'LCC':<5}instances"
     body = [
         f"{_yesno(r['sm']):<5}{_yesno(r['wlcc']):<6}{_yesno(r['lcc']):<5}"

@@ -56,14 +56,14 @@ meet: d e = 0
 }
 
 FIXTURE_NAMES = tuple(_TEXTS)
+_parse = lru_cache(maxsize=None)(parse_instance)  # one instance per catalog text
 
 
-@lru_cache(maxsize=None)
 def fixture(name: str) -> LambdaLattice:
-    """A catalog instance by name; any name outside FIXTURE_NAMES raises ArgumentError."""
-    if name not in _TEXTS:
+    """A catalog instance by name; any name outside FIXTURE_NAMES, or not a str, raises ArgumentError."""
+    if not isinstance(name, str) or name not in _TEXTS:
         raise ArgumentError(f"unknown fixture {name!r}; known fixtures: {', '.join(FIXTURE_NAMES)}")
-    return parse_instance(_TEXTS[name])
+    return _parse(_TEXTS[name])
 
 
 def fixture_poset(name: str) -> Poset:

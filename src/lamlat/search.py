@@ -458,6 +458,10 @@ def _always(_) -> bool:
     return True
 
 
+def _semimodular(ll) -> bool:
+    return checkers.is_semimodular(ll).holds
+
+
 THEOREMS: dict[str, Theorem] = {}
 
 
@@ -485,13 +489,13 @@ _register(Theorem(
 _register(Theorem(
     "LEM1", "a semimodular instance admits no join-collapsing quadruple",
     over="lattices", default_max_elements=5,
-    hypothesis=lambda ll: checkers.is_semimodular(ll).holds,
+    hypothesis=_semimodular,
     conclusion=_concl_lemma1,
 ))
 _register(Theorem(
     "LEM2", "convex closed subsets of a semimodular instance stay semimodular",
     over="lattices", default_max_elements=5,
-    hypothesis=lambda ll: checkers.is_semimodular(ll).holds,
+    hypothesis=_semimodular,
     # equivalent: a convex closed S holding x || y holds their semimodularity frame; the carrier is an S
     conclusion=checkers.is_semimodular,
 ))
@@ -533,37 +537,24 @@ _register(Theorem(
     conclusion=_concl_modular_implies_lattice,
 ))
 
-# mutants drop a hypothesis or strengthen a conclusion, to show that the harness finds counterexamples
-_register(Theorem(
-    "TH1_NO_COND3", "semimodularity alone implies the weak lower covering condition",
-    over="lattices", default_max_elements=6, refuted_at=6,
-    hypothesis=lambda ll: checkers.is_semimodular(ll).holds,
-    conclusion=checkers.satisfies_wlcc,
-))
-_register(Theorem(
-    "TH1_LCC_CONCLUSION", "semimodularity with cond3 implies the lower covering condition",
-    over="lattices", default_max_elements=5, refuted_at=5,
-    hypothesis=lambda ll: checkers.is_semimodular(ll).holds and checkers.cond3(ll).holds,
-    conclusion=checkers.satisfies_lcc,
-))
-_register(Theorem(
-    "TH2_NO_COND4", "semimodularity with cond5 implies the lower covering condition",
-    over="lattices", default_max_elements=6, refuted_at=6,
-    hypothesis=lambda ll: checkers.is_semimodular(ll).holds and checkers.cond5(ll).holds,
-    conclusion=checkers.satisfies_lcc,
-))
-_register(Theorem(
-    "TH2_NO_COND5", "semimodularity with cond4 implies the lower covering condition",
-    over="lattices", default_max_elements=6, refuted_at=5,
-    hypothesis=lambda ll: checkers.is_semimodular(ll).holds and checkers.cond4(ll).holds,
-    conclusion=checkers.satisfies_lcc,
-))
-_register(Theorem(
-    "CHAINS_NO_LU", "a top alone forces equal maximal chain lengths",
-    over="posets", default_max_elements=5, refuted_at=5,
-    hypothesis=lambda p: p.top is not None,
-    conclusion=_concl_equal_chain_lengths,
-))
+# each mutant is its parent with one named change, a dropped hypothesis or a stronger conclusion
+_register(replace(THEOREMS["TH1"], theorem_id="TH1_NO_COND3",
+                  summary="semimodularity alone implies the weak lower covering condition",
+                  default_max_elements=6, refuted_at=6, hypothesis=_semimodular))
+_register(replace(THEOREMS["TH1"], theorem_id="TH1_LCC_CONCLUSION",
+                  summary="semimodularity with cond3 implies the lower covering condition",
+                  refuted_at=5, conclusion=checkers.satisfies_lcc))
+_register(replace(THEOREMS["TH2"], theorem_id="TH2_NO_COND4",
+                  summary="semimodularity with cond5 implies the lower covering condition",
+                  default_max_elements=6, refuted_at=6,
+                  hypothesis=lambda ll: checkers.is_semimodular(ll).holds and checkers.cond5(ll).holds))
+_register(replace(THEOREMS["TH2"], theorem_id="TH2_NO_COND5",
+                  summary="semimodularity with cond4 implies the lower covering condition",
+                  default_max_elements=6, refuted_at=5,
+                  hypothesis=lambda ll: checkers.is_semimodular(ll).holds and checkers.cond4(ll).holds))
+_register(replace(THEOREMS["CHAINS"], theorem_id="CHAINS_NO_LU",
+                  summary="a top alone forces equal maximal chain lengths",
+                  default_max_elements=5, refuted_at=5, hypothesis=lambda p: p.top is not None))
 
 
 def _lookup(theorem_id: str) -> Theorem:

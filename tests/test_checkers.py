@@ -256,6 +256,11 @@ def test_acute_characterization_singleton():
     assert char.clause is AcuteClause.NO_ATOMS
 
 
+def test_acute_characterization_needs_bounds():
+    with pytest.raises(UnboundedError):
+        acute_characterization(Poset([[1, 0], [0, 1]]))
+
+
 def test_acute_characterization_matches_lcc_of_acute():
     for name in ("FIG2", "FIG3", "FIG4", "FIG5", "FIG6"):
         p = fixture_poset(name)

@@ -93,9 +93,15 @@ def test_summary_rows(fixtures):
     }
 
 
-@pytest.mark.parametrize("lookup", [fixture, fixture_poset])
-def test_an_unknown_fixture_name_raises_argument_error_naming_the_catalog(lookup):
+@pytest.mark.parametrize("lookup, name", [
+    pytest.param(fixture, "fig3", id="fixture"),
+    pytest.param(fixture_poset, "fig3", id="fixture_poset"),
+    # unhashable names are rejected before the parse cache sees them
+    pytest.param(fixture, ["FIG3"], id="fixture-list"),
+    pytest.param(fixture_poset, {"FIG3": 1}, id="fixture_poset-dict"),
+])
+def test_an_unknown_fixture_name_raises_argument_error_naming_the_catalog(lookup, name):
     with pytest.raises(ArgumentError) as err:
-        lookup("fig3")
+        lookup(name)
     assert str(err.value) == (
-        "unknown fixture 'fig3'; known fixtures: FIG2, FIG2-VARIANT, FIG3, FIG4, FIG5, FIG6, ACUTE-FIG3")
+        f"unknown fixture {name!r}; known fixtures: FIG2, FIG2-VARIANT, FIG3, FIG4, FIG5, FIG6, ACUTE-FIG3")

@@ -98,6 +98,23 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line == 1
 
 
+_HEAD = "elements: a b c d\ncovers: a < b  a < c  a < d\n"
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    ("elements: a b\nelements: c\n", "duplicate elements: line", 2, 1),
+    ("elements:\n", "elements: needs at least one name", 1, 1),
+    ("elements: a b\ncovers: a > b\n", "expected '<', got '>'", 2, 11),
+    (_HEAD + "join: b c d\n", "join: expects '<a> <b> = <c>'", 3, 1),
+    (_HEAD + "join: b b = a\n", "join needs two distinct elements", 3, 7),
+])
+def test_a_malformed_line_is_reported_with_its_message_and_position(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert str(err.value) == f"line {line}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_parse_unknown_element():
     with pytest.raises(ParseError) as err:
         parse_instance("elements: a b\ncovers: a < z\n")

@@ -85,6 +85,8 @@ def test_matrix_constructor_validates():
         Poset([[1, 1], [1, 1]])  # not antisymmetric
     with pytest.raises(InvalidOrderError):
         Poset([[1, 1, 0], [0, 1, 1], [0, 0, 1]])  # not transitive
+    with pytest.raises(InvalidOrderError, match="^relation matrix must be square$"):
+        Poset([[1, 0], [0]])
     # an entry is 0, 1 or a bool: truthiness would read '0' as related
     assert Poset([[True, True], [False, True]]) == Poset([[1, 1], [0, 1]])
     for v in ("0", 0.5, 2, None, 1.0):

@@ -90,6 +90,9 @@ def test_failing_serves_one_validated_verdict_per_witness_and_note():
     assert failing((0, 1)) is not failing((0, 1), "x")
     with pytest.raises(ValueError, match="must carry a witness"):
         failing(None)
+    with pytest.raises(ValueError, match="must not carry a witness"):
+        Verdict(True, (0,))
+    assert bool(failing((0,))) is False and bool(Verdict(True)) is True
 
 
 def test_from_dict_fills_missing_optional_keys():

@@ -839,6 +839,33 @@ def test_theorem_registry_shape():
     }
 
 
+def test_each_mutant_is_its_parent_with_one_change_sharing_the_rest():
+    th = THEOREMS
+    assert th["TH1_NO_COND3"].conclusion is th["TH1"].conclusion
+    assert th["TH1_LCC_CONCLUSION"].hypothesis is th["TH1"].hypothesis
+    assert th["TH1_NO_COND3"].hypothesis is th["LEM1"].hypothesis is th["LEM2"].hypothesis
+    assert th["TH2_NO_COND4"].conclusion is th["TH2_NO_COND5"].conclusion is th["TH2"].conclusion
+    assert th["CHAINS_NO_LU"].conclusion is th["CHAINS"].conclusion
+    assert len({th[tid].hypothesis for tid in ("ACUTE", "COR1", "MONO", "MODLAT")}) == 1
+    assert {tid: (t.over, t.default_max_elements, t.refuted_at) for tid, t in th.items()} == {
+        "TH1": ("lattices", 5, None),
+        "TH2": ("lattices", 5, None),
+        "LEM1": ("lattices", 5, None),
+        "LEM2": ("lattices", 5, None),
+        "HEIGHT": ("lattices", 5, 7),
+        "CHAINS": ("posets", 6, None),
+        "ACUTE": ("bounded posets", 6, None),
+        "COR1": ("bounded posets", 6, None),
+        "MONO": ("lattices", 5, None),
+        "MODLAT": ("lattices", 5, None),
+        "TH1_NO_COND3": ("lattices", 6, 6),
+        "TH1_LCC_CONCLUSION": ("lattices", 5, 5),
+        "TH2_NO_COND4": ("lattices", 6, 6),
+        "TH2_NO_COND5": ("lattices", 6, 5),
+        "CHAINS_NO_LU": ("posets", 5, 5),
+    }
+
+
 def test_readme_theorem_table_matches_the_registry():
     # the last three cells are read from the right: a statement may hold '|' in backticks
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
