@@ -11,6 +11,7 @@ the comparable cells are safe to skip.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import UnboundedError
 from .lattice import LambdaLattice, _monotone_failure
@@ -193,6 +194,15 @@ class AcuteCharacterization(DictRecord):
     atoms: frozenset[int]
     coatoms: frozenset[int]
 
+    @cached_property
+    def _masks(self) -> tuple[int, int]:
+        """(atoms, coatoms) as bit masks; a shared record computes them once."""
+        return sum(1 << a for a in self.atoms), sum(1 << c for c in self.coatoms)
+
+
+_SETS: dict[int, frozenset[int]] = {}  # mask -> the one frozenset of its bits
+_ACUTE: dict[tuple[int, int], AcuteCharacterization] = {}  # (atoms, coatoms) masks -> its record
+
 
 def mk_isomorphic(p: Poset) -> int | None:
     """k > 1 when p is bounded of length two with a k-element middle antichain.
@@ -211,25 +221,31 @@ def acute_characterization(p: Poset) -> AcuteCharacterization:
     element, or the poset is a two-level antichain Mk with k > 1. This is
     the one Mk test: with two or more atoms, p is an Mk iff its atoms are
     its coatoms, since each x strictly between the bounds lies above an
-    atom a, and when a is a coatom, x = a.
+    atom a, and when a is a coatom, x = a. The atoms and coatoms are read
+    as masks off the cover rows (Poset.atoms' and Poset.coatoms' rules),
+    and each (atoms, coatoms) pair has one frozen record, built once and
+    then shared.
     """
     if p.bounds() is None:
         raise UnboundedError("the acute characterization needs a bounded poset")
-    atoms = p.atoms()
-    coatoms = p.coatoms()
-    k = None
-    if not atoms:
-        clause = AcuteClause.NO_ATOMS
-    elif len(atoms) == 1:
-        # on a finite carrier each x above the bottom lies above a minimal
-        # element of (0, x], which is an atom: a unique atom is below them all
-        clause = AcuteClause.UNIQUE_ATOM_BELOW_ALL
-    elif atoms == coatoms:
-        k = len(atoms)
-        clause = AcuteClause.ISO_TO_MK
-    else:
-        clause = AcuteClause.FAILS
-    return AcuteCharacterization(clause, k, atoms, coatoms)
+    key = atoms, coatoms = p._covers_above[p.bottom], p._coatom_mask()
+    char = _ACUTE.get(key)
+    if char is None:
+        k = None
+        if not atoms:
+            clause = AcuteClause.NO_ATOMS
+        elif not atoms & (atoms - 1):
+            # on a finite carrier each x above the bottom lies above a minimal
+            # element of (0, x], which is an atom: a unique atom is below them all
+            clause = AcuteClause.UNIQUE_ATOM_BELOW_ALL
+        elif atoms == coatoms:
+            k = atoms.bit_count()
+            clause = AcuteClause.ISO_TO_MK
+        else:
+            clause = AcuteClause.FAILS
+        sets = [_SETS.setdefault(m, frozenset(_bits(m))) for m in key]
+        char = _ACUTE[key] = AcuteCharacterization(clause, k, *sets)
+    return char
 
 
 # ----- aggregate report -----

@@ -331,15 +331,13 @@ def acute(p: Poset) -> LambdaLattice:
 
     Top and bottom bound every pair, so the tables meet the contract and
     are built trusted; equal to from_choice with every pair picked as
-    (top, bottom).
+    (top, bottom). The completion pass writes the picks and freezes the
+    rows as it builds them.
     """
     if p.bounds() is None:
         raise UnboundedError("the acute completion needs a bounded poset")
-    jt, mt, pairs = _completion_rows(p)
-    for x, y in pairs:
-        jt[x][y] = jt[y][x] = p.top
-        mt[x][y] = mt[y][x] = p.bottom
-    return LambdaLattice._from_tables(p, _frozen(jt), _frozen(mt))
+    jt, mt, _ = _completion_rows(p, acute=True)
+    return LambdaLattice._from_tables(p, jt, mt)
 
 
 # ----- algebra-level predicates -----

@@ -426,11 +426,22 @@ class Poset:
             raise UnboundedError("atoms need a bottom element")
         return frozenset(_bits(self._covers_above[self.bottom]))
 
-    def coatoms(self) -> frozenset[int]:
-        """Elements covered by the top: those whose only cover is the top (any other is below it)."""
+    def _coatom_mask(self) -> int:
+        """The elements covered by the top, as a mask: those whose only cover is the top.
+
+        Any other cover of x would lie below the top.
+        """
         if self.top is None:
             raise NoTopError("coatoms need a top element")
-        return frozenset([x for x, row in enumerate(self._covers_above) if row == 1 << self.top])
+        top, mask = 1 << self.top, 0
+        for x, row in enumerate(self._covers_above):
+            if row == top:
+                mask |= 1 << x
+        return mask
+
+    def coatoms(self) -> frozenset[int]:
+        """Elements covered by the top."""
+        return frozenset(_bits(self._coatom_mask()))
 
     # ----- transformations -----
 
@@ -531,13 +542,16 @@ def _base_row(n: int, x: int, up: int, down: int) -> tuple[tuple, tuple, int, tu
     return tuple(j), tuple(m), inc, cells, tuple([c for c in cells if c[1] > x])
 
 
-def _completion_rows(p: Poset) -> tuple[list, list, tuple[tuple[int, int], ...]]:
+def _completion_rows(p: Poset, acute: bool = False) -> tuple[Sequence, Sequence, tuple[tuple[int, int], ...]]:
     """Join rows, meet rows and incomparable pairs of p, from one pass over its rows.
 
     Comparable cells hold max and min, incomparable ones 0. A row holding
     an incomparable cell is a fresh list copy of its cached _base_row
     tuple, for the caller to write; every other row is that tuple, shared
-    by every caller, which lattice._frozen keeps as it is. The pass stores
+    by every caller, which lattice._frozen keeps as it is. With acute set
+    (p bounded), each such copy takes p's top and bottom in its
+    incomparable cells and is frozen at once, and both tables come back as
+    tuples: lattice.acute's tables, written nowhere else. The pass stores
     p._incomparable, p._incomparable_cells and p.incomparable_pairs, and
     is their one definition: the Poset properties of those names run it
     on first read, so nothing that reads p's completions builds them
@@ -545,14 +559,31 @@ def _completion_rows(p: Poset) -> tuple[list, list, tuple[tuple[int, int], ...]]
     """
     n = p.n
     jt, mt, inc, cells, pairs = [], [], [], [], []
-    for j, m, free, xcells, later in map(_base_row, repeat(n), range(n), p._up, p._down):
-        if free:
-            j, m = list(j), list(m)
-            cells += xcells
-            pairs += later
-        jt.append(j)
-        mt.append(m)
-        inc.append(free)
+    rows = map(_base_row, repeat(n), range(n), p._up, p._down)
+    if acute:  # a loop of its own: a per-row test in the loop below slowed the completion stream
+        top, bottom = p.top, p.bottom
+        for j, m, free, xcells, later in rows:
+            if free:
+                j, m = list(j), list(m)
+                for y in _bits(free):
+                    j[y] = top
+                    m[y] = bottom
+                j, m = tuple(j), tuple(m)
+                cells += xcells
+                pairs += later
+            jt.append(j)
+            mt.append(m)
+            inc.append(free)
+        jt, mt = tuple(jt), tuple(mt)
+    else:
+        for j, m, free, xcells, later in rows:
+            if free:
+                j, m = list(j), list(m)
+                cells += xcells
+                pairs += later
+            jt.append(j)
+            mt.append(m)
+            inc.append(free)
     p._incomparable, p._incomparable_cells = tuple(inc), tuple(cells)
     p.incomparable_pairs = pairs = tuple(pairs)
     return jt, mt, pairs

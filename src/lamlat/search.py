@@ -430,7 +430,11 @@ def _disagreement(**sides: bool) -> Verdict:
 def _concl_acute_equivalence(p) -> Verdict:
     char = checkers.acute_characterization(p)
     via_lcc = checkers.satisfies_lcc(acute(p)).holds
-    via_atoms = all(y in char.coatoms for x in char.atoms for y in _bits(p._incomparable[x]))
+    atoms, coatoms = char._masks
+    inc, reach = p._incomparable, 0  # stored by acute's pass
+    for x in _bits(atoms):
+        reach |= inc[x]
+    via_atoms = not reach & ~coatoms  # each element incomparable to an atom is a coatom
     via_structure = char.clause is not checkers.AcuteClause.FAILS
     if via_lcc == via_atoms == via_structure:
         return HOLDS

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import chain
 
 import pytest
 
@@ -259,6 +260,38 @@ def test_acute_characterization_singleton():
 def test_acute_characterization_needs_bounds():
     with pytest.raises(UnboundedError):
         acute_characterization(Poset([[1, 0], [0, 1]]))
+
+
+def test_acute_characterizations_are_shared_records(bounded_upto6):
+    # one frozen record per (atoms, coatoms) pair, and one frozenset per mask
+    records, sets = {}, {}
+    for p in bounded_upto6:
+        char = acute_characterization(p)
+        assert records.setdefault((char.atoms, char.coatoms), char) is char, p
+        for members in (char.atoms, char.coatoms):
+            assert sets.setdefault(members, members) is members, p
+        assert char._masks == (sum(1 << a for a in p.atoms()), sum(1 << c for c in p.coatoms())), p
+    assert len(records) == 1055
+    assert acute_characterization(mk_poset(3)) is acute_characterization(mk_poset(3))
+
+
+def test_the_acute_path_on_the_bounded_posets_up_to_6_matches_its_pinned_digest():
+    # the sha256, over every bounded poset with at most 6 elements fresh from
+    # the stream, of acute(p)'s tables, the three incomparability facts its
+    # pass stores on p, satisfies_lcc of it and acute_characterization(p);
+    # taken before the pass wrote the acute picks and records were shared
+    facts = ("_incomparable", "_incomparable_cells", "incomparable_pairs")
+    h, total = hashlib.sha256(), 0
+    for p in enumerate_posets(EnumerationFilter(max_elements=6, require_bounded=True)):
+        ll = acute(p)
+        stored = vars(p)  # a key error if acute left a fact to a later read
+        h.update(bytes((p.n, *chain.from_iterable(ll.join_table + ll.meet_table))))
+        h.update(repr([stored[name] for name in facts]).encode())
+        h.update(json.dumps(satisfies_lcc(ll).to_dict()).encode())
+        h.update(json.dumps(acute_characterization(p).to_dict()).encode())
+        total += 1
+    assert total == 6995
+    assert h.hexdigest() == "0e9da7475e7c326596c965dcc12eb20c585a02d1b4913b71b0c86fe5f60ec48e"
 
 
 def test_acute_characterization_matches_lcc_of_acute():

@@ -237,6 +237,10 @@ def test_acute_fig3():
     assert ll.join_table[1][2] == 5 and ll.meet_table[3][4] == 0
 
 
+def test_lambda_lattice_repr_lists_the_join_picks_by_label():
+    assert repr(fixture("FIG3")) == "LambdaLattice(n=6, joins=[avb=c, cvd=1])"
+
+
 def test_acute_chain_unchanged():
     chain = Poset.from_covers(4, [(0, 1), (1, 2), (2, 3)])
     assert acute(chain) == from_choice(chain)

@@ -63,6 +63,10 @@ def test_fig2_incomparabilities():
     assert p.leq(a, e) and p.leq(b, d)
 
 
+def test_poset_repr_lists_the_covers_by_label():
+    assert repr(fixture_poset("FIG3")) == "Poset(n=6, covers=[0<a 0<b a<c a<d b<c b<d c<1 d<1])"
+
+
 def test_cycle_rejected():
     with pytest.raises(CycleError):
         Poset.from_covers(2, [(0, 1), (1, 0)])

@@ -272,6 +272,35 @@ def test_canonical_masks_are_one_form_per_class():
     assert completions == 19955
 
 
+@pytest.mark.parametrize("theorem_id", ["ACUTE", "COR1", "TH1", "TH1_LCC_CONCLUSION"])
+def test_labeled_counts_are_the_class_counts_times_their_labelings(theorem_id):
+    # each count is invariant under relabeling and a class P has n!/|Aut(P)|
+    # labelings, with Aut(P) the permutations onto P's own form: so per size
+    # the labeled posets, completions and collect_all counterexamples are the
+    # sums over the bounded classes of n!/|Aut(P)| times P's own counts
+    th = THEOREMS[theorem_id]
+    labeled, before = {}, (0, 0, 0)
+    for n in range(1, 7):
+        r = verify(theorem_id, EnumerationFilter(max_elements=n), collect_all=True)
+        now = (r.posets_checked, r.lattices_checked, len(r.all_counterexamples))
+        labeled[n] = tuple(a - b for a, b in zip(now, before))
+        before = now
+    classes = {n: (0, 0, 0) for n in range(1, 7)}
+    flt = EnumerationFilter(max_elements=6, require_bounded=True, canonical_only=True)
+    for p in enumerate_posets(flt):
+        if th.over == "lattices":
+            judged, found = search._judge(th, p, enumerate_completions(p), True)
+        else:
+            judged, found = 0, search._judge(th, None, (p,), True)[1]
+        k = factorial(p.n) // len(p._canonical[1])
+        classes[p.n] = tuple(c + k * o for c, o in zip(classes[p.n], (1, judged, len(found))))
+    assert labeled == classes
+    assert sum(c for c, _, _ in labeled.values()) == 6995
+    completions, found = (sum(counts[i] for counts in labeled.values()) for i in (1, 2))
+    assert (completions, found) == {"ACUTE": (0, 0), "COR1": (0, 0), "TH1": (19955, 0),
+                                    "TH1_LCC_CONCLUSION": (19955, 2520)}[theorem_id]
+
+
 def test_a_canonical_run_builds_each_size_once(monkeypatch):
     # every size the run reaches is built once, from the size before
     built = Counter()
