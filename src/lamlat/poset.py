@@ -558,7 +558,8 @@ def _completion_rows(p: Poset, acute: bool = False) -> tuple[Sequence, Sequence,
     again. The pairs are the (x, y) with x < y and x || y, ascending.
     """
     n = p.n
-    jt, mt, inc, cells, pairs = [], [], [], [], []
+    jt, mt, inc = [], [], []
+    cells = pairs = ()  # grown by tuple concatenation: few rows hold incomparable cells
     rows = map(_base_row, repeat(n), range(n), p._up, p._down)
     if acute:  # a loop of its own: a per-row test in the loop below slowed the completion stream
         top, bottom = p.top, p.bottom
@@ -584,8 +585,8 @@ def _completion_rows(p: Poset, acute: bool = False) -> tuple[Sequence, Sequence,
             jt.append(j)
             mt.append(m)
             inc.append(free)
-    p._incomparable, p._incomparable_cells = tuple(inc), tuple(cells)
-    p.incomparable_pairs = pairs = tuple(pairs)
+    p._incomparable, p._incomparable_cells = tuple(inc), cells
+    p.incomparable_pairs = pairs
     return jt, mt, pairs
 
 

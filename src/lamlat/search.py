@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass, replace
 from heapq import heapify, heappop, heapreplace
 from itertools import islice, permutations, repeat
-from math import prod
 from typing import Callable, Iterable, Iterator
 
 from . import checkers
@@ -293,18 +292,6 @@ def enumerate_posets(f: EnumerationFilter) -> Iterator[Poset]:
             yield from _labeled_posets(n)
 
 
-def _bound_options(p: Poset, pairs) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
-    """(x, y, common upper bounds, common lower bounds) per pair; the stream's and count's one check."""
-    up, down = p._up, p._down
-    options = []
-    for x, y in pairs:
-        ups, downs = _bits(up[x] & up[y]), _bits(down[x] & down[y])
-        if not (ups and downs):
-            raise NotDirectedError("completions need a directed poset")  # a bound is missing
-        options.append((x, y, ups, downs))
-    return options
-
-
 def enumerate_completions(p: Poset) -> Iterator[LambdaLattice]:
     """Every completion of a directed poset, one per total choice, built lazily.
 
@@ -328,9 +315,19 @@ def enumerate_completions(p: Poset) -> Iterator[LambdaLattice]:
     incomparable cells are the shared poset._base_row tuples.
     """
     jt, mt, pairs = _completion_rows(p)
+    new = LambdaLattice.__new__  # each completion is built as _from_tables does, with no call
+    if not pairs:  # every row is a shared _base_row tuple: the one completion, no odometer
+        ll = new(LambdaLattice)
+        ll.poset, ll.join_table, ll.meet_table = p, tuple(jt), tuple(mt)
+        yield ll
+        return
+    up, down = p._up, p._down
     frozen = ([], [])  # each table's current row tuples, filled below
     wheels, last = [], [-1, -1]  # last: per table, the index of its last wheel
-    for x, y, ups, downs in _bound_options(p, pairs):  # the join's wheel before the meet's
+    for x, y in pairs:  # the join's wheel before the meet's
+        ups, downs = _bits(up[x] & up[y]), _bits(down[x] & down[y])
+        if not (ups and downs):
+            raise NotDirectedError("completions need a directed poset")  # a bound is missing
         jt[x][y] = jt[y][x] = ups[0]
         mt[x][y] = mt[y][x] = downs[0]
         if len(ups) > 1:
@@ -342,7 +339,6 @@ def enumerate_completions(p: Poset) -> Iterator[LambdaLattice]:
     frozen[0].extend(map(tuple, jt))
     frozen[1].extend(map(tuple, mt))
     tables = [tuple(frozen[0]), tuple(frozen[1])]
-    new = LambdaLattice.__new__  # each completion is built as _from_tables does, with no call
     ll = new(LambdaLattice)
     ll.poset, ll.join_table, ll.meet_table = p, tables[0], tables[1]
     yield ll
@@ -381,8 +377,19 @@ def enumerate_completions(p: Poset) -> Iterator[LambdaLattice]:
 
 
 def completion_count(p: Poset) -> int:
-    """Size of the completion stream without generating it; NotDirectedError as there."""
-    return prod(len(u) * len(d) for _, _, u, d in _bound_options(p, p.incomparable_pairs))
+    """Size of the completion stream without generating it; NotDirectedError as there.
+
+    Each pair's options are read by the stream's rule: the bits of its
+    common upper and lower bound masks, an empty one meaning p is not
+    directed.
+    """
+    up, down, count = p._up, p._down, 1
+    for x, y in p.incomparable_pairs:
+        ups, downs = _bits(up[x] & up[y]), _bits(down[x] & down[y])
+        if not (ups and downs):
+            raise NotDirectedError("completions need a directed poset")  # a bound is missing
+        count *= len(ups) * len(downs)
+    return count
 
 
 # ----- theorem registry -----
@@ -648,26 +655,38 @@ class VerificationResult:
         }
 
 
-def _judge(th: Theorem, poset: Poset | None, instances: Iterable,
-           collect_all: bool) -> tuple[int, list[Counterexample]]:
-    """th judged on each instance in turn: how many were judged, and the counterexamples.
+def _judge(th: Theorem, posets: Iterable[Poset], completions: Callable | None,
+           collect_all: bool) -> tuple[int, int, list[Counterexample]]:
+    """th judged on each poset's instances in turn: posets and completions judged, and the counterexamples.
 
-    With poset None every instance is a poset judged by itself, else a
-    completion of poset. A counterexample is an instance whose hypothesis
-    holds and whose conclusion fails; the first ends the loop unless
+    With completions None each poset is its own one instance, else its
+    instances are completions(poset), walked in an inner loop, so no call
+    is made per poset. A counterexample is an instance whose hypothesis
+    holds and whose conclusion fails; the first ends both loops unless
     collect_all is set.
     """
     hypothesis, conclusion, tid = th.hypothesis, th.conclusion, th.theorem_id
-    judged, found = 0, []
-    for judged, instance in enumerate(instances, 1):
-        if hypothesis(instance):
-            v = conclusion(instance)
-            if not v.holds:
-                found.append(Counterexample(tid, instance, None, v.witness, v.note) if poset is None
-                             else Counterexample(tid, poset, instance, v.witness, v.note))
-                if not collect_all:
-                    break
-    return judged, found
+    checked = judged = 0
+    found = []
+    if completions is None:  # every poset is an instance
+        for checked, p in enumerate(posets, 1):
+            if hypothesis(p):
+                v = conclusion(p)
+                if not v.holds:
+                    found.append(Counterexample(tid, p, None, v.witness, v.note))
+                    if not collect_all:
+                        break
+        return checked, 0, found
+    for checked, p in enumerate(posets, 1):
+        for ll in completions(p):
+            judged += 1
+            if hypothesis(ll):
+                v = conclusion(ll)
+                if not v.holds:
+                    found.append(Counterexample(tid, p, ll, v.witness, v.note))
+                    if not collect_all:
+                        return checked, judged, found
+    return checked, judged, found
 
 
 def _poset_filter(over: str, flt: EnumerationFilter) -> EnumerationFilter:
@@ -686,8 +705,8 @@ def violates(theorem_id: str, instance) -> Counterexample | None:
     poset = instance if lattice is None else instance.poset
     if th.over == "lattices" and lattice is None or th.over == "bounded posets" and poset.bounds() is None:
         raise TypeError(f"{th.theorem_id} quantifies over {th.over}")
-    _, found = (_judge(th, poset, (lattice,), False) if th.over == "lattices"
-                else _judge(th, None, (poset,), False))
+    one = (lambda _: (lattice,)) if th.over == "lattices" else None  # the given completion alone
+    found = _judge(th, (poset,), one, False)[2]
     return found[0] if found else None
 
 
@@ -715,26 +734,14 @@ def verify(
     on_lattices = th.over == "lattices"
 
     start = time.perf_counter()
-    posets_checked = lattices_checked = 0
-    found: list[Counterexample] = []
-
-    if on_lattices:  # the instances of p are its completions
-        for p in enumerate_posets(eff):
-            posets_checked += 1
-            judged, hits = _judge(th, p, enumerate_completions(p), collect_all)
-            lattices_checked += judged
-            if hits:
-                found += hits
-                if not collect_all:
-                    break
-    else:  # every poset is an instance
-        posets_checked, found = _judge(th, None, enumerate_posets(eff), collect_all)
-
+    posets_checked, lattices_checked, found = _judge(
+        th, enumerate_posets(eff), enumerate_completions if on_lattices else None, collect_all)
     elapsed = time.perf_counter() - start
     kind = "bounded posets" if eff.require_bounded else "posets"
     which = "one representative per isomorphism class of" if eff.canonical_only else "all labeled"
     tail = " and all their completions" if on_lattices else ""
-    scope = f"{which} {kind} with at most {eff.max_elements} elements{tail}"
+    size = "1 element" if eff.max_elements == 1 else f"{eff.max_elements} elements"
+    scope = f"{which} {kind} with at most {size}{tail}"
     if not found:
         scope = f"exhaustive over {scope}; evidence for the general statement, not a proof"
     elif collect_all:

@@ -287,11 +287,9 @@ def test_labeled_counts_are_the_class_counts_times_their_labelings(theorem_id):
         before = now
     classes = {n: (0, 0, 0) for n in range(1, 7)}
     flt = EnumerationFilter(max_elements=6, require_bounded=True, canonical_only=True)
+    completions = enumerate_completions if th.over == "lattices" else None
     for p in enumerate_posets(flt):
-        if th.over == "lattices":
-            judged, found = search._judge(th, p, enumerate_completions(p), True)
-        else:
-            judged, found = 0, search._judge(th, None, (p,), True)[1]
+        _, judged, found = search._judge(th, (p,), completions, True)
         k = factorial(p.n) // len(p._canonical[1])
         classes[p.n] = tuple(c + k * o for c, o in zip(classes[p.n], (1, judged, len(found))))
     assert labeled == classes
@@ -509,7 +507,7 @@ def test_not_directed_is_reported_before_any_completion_is_built(side, build):
 
 
 def test_completion_count_raises_where_the_stream_does_on_all_posets_up_to_4():
-    # both raise from the one check in _bound_options
+    # both read each pair's options by the one rule, so both raise on the same posets
     posets = directed = 0
     for p in enumerate_posets(EnumerationFilter(max_elements=4)):
         posets += 1
@@ -523,6 +521,18 @@ def test_completion_count_raises_where_the_stream_does_on_all_posets_up_to_4():
         assert completion_count(p) == len(list(enumerate_completions(p))), p
     assert posets == 1 + 3 + 19 + 219
     assert 0 < directed < posets
+
+
+@pytest.mark.parametrize("flt, posets", [
+    (EnumerationFilter(max_elements=6, require_bounded=True), 6995),
+    (EnumerationFilter(max_elements=8, require_bounded=True, canonical_only=True), 407),
+], ids=["labeled-6", "classes-8"])
+def test_completion_count_is_the_stream_length_on_every_bounded_poset(flt, posets):
+    # the stream reads each pair's options in its own loop; the count must read the same
+    seen = 0
+    for seen, p in enumerate(enumerate_posets(flt), 1):
+        assert completion_count(p) == sum(1 for _ in enumerate_completions(p)), p
+    assert seen == posets
 
 
 def test_all_small_completions_pass_axioms(small_completions):
@@ -567,6 +577,30 @@ def test_verify_scope_follows_the_outcome():
         "searched one representative per isomorphism class of posets with at most 5 elements "
         "up to the first counterexample among the representatives in their order, "
         "which refutes the statement")
+
+
+def test_verify_scope_says_one_element_at_max_n_1(monkeypatch, capsys):
+    one = EnumerationFilter(max_elements=1)
+    canonical = EnumerationFilter(max_elements=1, canonical_only=True)
+    where = "bounded posets with at most 1 element and all their completions"
+    clean = "; evidence for the general statement, not a proof"
+    for r in (verify("MONO", one), verify("MONO", one, collect_all=True)):
+        assert r.scope == f"exhaustive over all labeled {where}{clean}"
+    assert verify("MONO", canonical).scope == (
+        f"exhaustive over one representative per isomorphism class of {where}{clean}")
+    assert verify("CHAINS", one).scope == f"exhaustive over all labeled posets with at most 1 element{clean}"
+    assert main(["verify", "TH1", "--max-n", "1"]) == 0
+    assert f"scope: exhaustive over all labeled {where}{clean}\n" in capsys.readouterr().out
+    # MONO holds at n = 1, so its monotonicity side is broken to reach the refuting scopes
+    monkeypatch.setattr(search, "is_monotone", lambda ll: False)
+    assert verify("MONO", one).scope == (
+        f"searched all labeled {where} in encoding order up to the least counterexample, "
+        "which refutes the statement")
+    assert verify("MONO", one, collect_all=True).scope == (
+        f"exhaustive over all labeled {where}; its counterexamples refute the statement")
+    assert verify("MONO", canonical).scope == (
+        f"searched one representative per isomorphism class of {where} up to the first "
+        "counterexample among the representatives in their order, which refutes the statement")
 
 
 def test_verify_unknown_id():
@@ -811,17 +845,15 @@ def test_violates_on_posets_takes_any_poset_and_reads_a_lattice_as_its_poset():
     assert violates("ACUTE", fixture("FIG3")) is None  # clean on the bounded poset of FIG3
 
 
-@pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
-def test_violates_judges_every_instance_as_verify_does_up_to_5(theorem_id):
-    # at n <= 4 no theorem has a counterexample; at n <= 5 CHAINS_NO_LU,
-    # TH1_LCC_CONCLUSION and TH2_NO_COND5 have 120, 60 and 60
+def assert_violates_judges_as_verify_does(theorem_id, max_n) -> search.VerificationResult:
+    """violates on every instance finds verify's collect_all counterexamples, in order; that run."""
     th = THEOREMS[theorem_id]
-    result = verify(theorem_id, EnumerationFilter(max_elements=5), collect_all=True)
-    flt = EnumerationFilter(max_elements=5, require_bounded=th.over != "posets")
+    result = verify(theorem_id, EnumerationFilter(max_elements=max_n), collect_all=True)
+    flt = EnumerationFilter(max_elements=max_n, require_bounded=th.over != "posets")
     instances = list(enumerate_posets(flt))
     if th.over == "lattices":
         instances = [ll for p in instances for ll in enumerate_completions(p)]
-        assert len(instances) == result.lattices_checked == 545
+        assert len(instances) == result.lattices_checked
     else:
         assert len(instances) == result.posets_checked
     expected = iter(result.all_counterexamples)
@@ -832,6 +864,42 @@ def test_violates_judges_every_instance_as_verify_does_up_to_5(theorem_id):
             assert (ce.witness, ce.note, ce.encoding()) == (want.witness, want.note, want.encoding())
             assert ce.to_dict() == want.to_dict()
     assert next(expected, None) is None
+    return result
+
+
+@pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
+def test_violates_judges_every_instance_as_verify_does_up_to_5(theorem_id):
+    # at n <= 4 no theorem has a counterexample; at n <= 5 CHAINS_NO_LU,
+    # TH1_LCC_CONCLUSION and TH2_NO_COND5 have 120, 60 and 60
+    result = assert_violates_judges_as_verify_does(theorem_id, 5)
+    assert len(result.all_counterexamples) == {
+        "CHAINS_NO_LU": 120, "TH1_LCC_CONCLUSION": 60, "TH2_NO_COND5": 60}.get(theorem_id, 0)
+    if THEOREMS[theorem_id].over == "lattices":
+        assert result.lattices_checked == 545
+
+
+@pytest.mark.parametrize("theorem_id", ["TH1_NO_COND3", "TH2_NO_COND4"])
+def test_violates_judges_every_instance_as_verify_does_at_6(theorem_id):
+    # both are clean up to 5, so only n <= 6 reaches the collecting path of the judge's inner loop
+    assert len(assert_violates_judges_as_verify_does(theorem_id, 6).all_counterexamples) == 720
+
+
+@pytest.mark.parametrize("theorem_id, max_n, built", [
+    ("TH1_NO_COND3", 6, 593), ("TH1_LCC_CONCLUSION", 6, 57), ("TH2_NO_COND4", 6, 593),
+    ("TH2_NO_COND5", 6, 57), ("HEIGHT", 7, 20225)])
+def test_a_first_hit_run_builds_no_completion_past_its_counterexample(monkeypatch, theorem_id, max_n, built):
+    # the judge pulls completions one at a time, so the stream stops at the first counterexample
+    count = [0]
+
+    def counted(p, stream=search.enumerate_completions):
+        for ll in stream(p):
+            count[0] += 1
+            yield ll
+
+    monkeypatch.setattr(search, "enumerate_completions", counted)
+    r = verify(theorem_id, EnumerationFilter(max_elements=max_n))
+    assert not r.clean
+    assert count[0] == r.lattices_checked == built
 
 
 @pytest.mark.parametrize("theorem_id", [
